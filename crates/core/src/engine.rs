@@ -240,7 +240,7 @@ impl<'a> TerIdsEngine<'a> {
         let mut cells: Vec<(ter_index::CellKey, Vec<u64>)> = self
             .grid
             .iter_cells()
-            .map(|(k, entries)| (k.clone(), entries.iter().map(|e| e.payload).collect()))
+            .map(|(k, _, entries)| (k.clone(), entries.iter().map(|e| e.payload).collect()))
             .collect();
         cells.sort_by(|(a, _), (b, _)| a.cmp(b));
         EngineState {
@@ -274,11 +274,13 @@ impl<'a> TerIdsEngine<'a> {
             metas.insert(meta.id, meta.clone());
         }
         let mut grid = RegionGrid::new(d, self.params.grid_cells);
-        for (key, ids) in &state.cells {
-            for id in ids {
-                let meta = &metas[id];
-                grid.insert_at([key.clone()], &meta.region(), *id, meta.aggregate());
-            }
+        for (meta, keys) in state.cells_by_tuple() {
+            grid.insert_at(
+                keys.into_iter().cloned(),
+                &meta.region(),
+                meta.id,
+                meta.aggregate(),
+            );
         }
         let mut window = SlidingWindow::new(self.params.window);
         for &(ts, id) in &state.window {
@@ -307,7 +309,8 @@ impl<'a> TerIdsEngine<'a> {
     /// (the step's retraction delta).
     fn expire(&mut self, old_id: u64) -> Vec<(u64, u64)> {
         if let Some(meta) = self.metas.remove(&old_id) {
-            self.grid.evict(&meta.region(), &old_id);
+            let evicted = self.grid.evict(&meta.region(), &old_id);
+            debug_assert!(evicted, "tuple {old_id} was not the oldest of its cells");
             let removed = self.results.remove_involving(old_id);
             self.stream_counts[meta.stream_id] -= 1;
             self.topical_ids.remove(&old_id);
@@ -323,7 +326,7 @@ impl<'a> TerIdsEngine<'a> {
     pub fn cell_entry_counts(&self) -> Vec<usize> {
         self.grid
             .iter_cells()
-            .map(|(_, entries)| entries.len())
+            .map(|(.., entries)| entries.len())
             .collect()
     }
 

@@ -16,7 +16,12 @@
 //! `ShardedTerIdsEngine` export *equal* states at the same stream
 //! position (their per-cell op histories are identical by the PR 2
 //! sharding invariant), and a checkpoint taken from one engine restores
-//! into the other.
+//! into the other. Insertion order is window order restricted to the
+//! cell, because the grid evicts oldest-first. Import does not trust the
+//! persisted per-cell order: it re-derives it from the window
+//! ([`EngineState::cells_by_tuple`]), so checkpoints written while the
+//! grid still evicted by swap-and-refold, whose cell lists are
+//! scrambled, restore to the same grid.
 //!
 //! Import is validating, not trusting: [`EngineState::validate`] checks
 //! every cross-field invariant (window/meta agreement, timestamp
@@ -26,7 +31,7 @@
 //! past the frame CRCs.
 
 use ter_index::CellKey;
-use ter_text::fxhash::FxHashSet;
+use ter_text::fxhash::{FxHashMap, FxHashSet};
 
 use crate::meta::TupleMeta;
 use crate::metrics::PruneStats;
@@ -57,10 +62,10 @@ pub struct EngineState {
     pub reported: Vec<(u64, u64)>,
     /// Cumulative pruning counters.
     pub stats: PruneStats,
-    /// ER-grid cells: `(cell key, payload ids in entry order)`, sorted by
-    /// key. Entry order is preserved exactly so the restored grid is
-    /// indistinguishable from the crashed one (cell aggregates are left
-    /// folds over the entry sequence; same sequence ⇒ same bits).
+    /// ER-grid cells: `(cell key, payload ids in insertion order)`, sorted
+    /// by key. Import re-derives the order from `window` (see the
+    /// [module docs](self)); cell aggregates merge exactly (bitset OR,
+    /// interval hull), so the restored bits do not depend on fold order.
     pub cells: Vec<(CellKey, Vec<u64>)>,
 }
 
@@ -190,6 +195,27 @@ impl EngineState {
     /// Number of live tuples in the snapshot.
     pub fn live_count(&self) -> usize {
         self.window.len()
+    }
+
+    /// Every live tuple with the grid cells it occupies, in window order —
+    /// the order an importing engine must insert them in, since the grid
+    /// evicts each cell's oldest entry. Call after
+    /// [`EngineState::validate`], which guarantees every cell entry is a
+    /// live tuple.
+    pub fn cells_by_tuple(&self) -> impl Iterator<Item = (&TupleMeta, Vec<&CellKey>)> {
+        let pos: FxHashMap<u64, usize> = self
+            .window
+            .iter()
+            .enumerate()
+            .map(|(i, &(_, id))| (id, i))
+            .collect();
+        let mut keys: Vec<Vec<&CellKey>> = vec![Vec::new(); self.window.len()];
+        for (key, ids) in &self.cells {
+            for id in ids {
+                keys[pos[id]].push(key);
+            }
+        }
+        self.metas.iter().zip(keys)
     }
 }
 

@@ -245,7 +245,7 @@ impl<'a> ShardedTerIdsEngine<'a> {
     pub fn cell_entry_counts(&self) -> Vec<usize> {
         self.shards
             .iter()
-            .flat_map(|g| g.iter_cells().map(|(_, entries)| entries.len()))
+            .flat_map(|g| g.iter_cells().map(|(.., entries)| entries.len()))
             .collect()
     }
 
@@ -340,7 +340,7 @@ impl<'a> ShardedTerIdsEngine<'a> {
             .shards
             .iter()
             .flat_map(|g| g.iter_cells())
-            .map(|(k, entries)| (k.clone(), entries.iter().map(|e| e.payload).collect()))
+            .map(|(k, _, entries)| (k.clone(), entries.iter().map(|e| e.payload).collect()))
             .collect();
         cells.sort_by(|(a, _), (b, _)| a.cmp(b));
         EngineState {
@@ -375,11 +375,11 @@ impl<'a> ShardedTerIdsEngine<'a> {
         let mut shards: Vec<ShardGrid> = (0..self.exec.shards)
             .map(|_| RegionGrid::new(d, self.params.grid_cells))
             .collect();
-        for (key, ids) in &state.cells {
-            let shard = &mut shards[self.router.shard_of(key)];
-            for id in ids {
-                let meta = &metas[id];
-                shard.insert_at([key.clone()], &meta.region(), *id, meta.aggregate());
+        for (meta, keys) in state.cells_by_tuple() {
+            let (region, agg) = (meta.region(), meta.aggregate());
+            for key in keys {
+                let shard = &mut shards[self.router.shard_of(key)];
+                shard.insert_at([key.clone()], &region, meta.id, agg.clone());
             }
         }
         let mut window = SlidingWindow::new(self.params.window);

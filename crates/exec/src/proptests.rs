@@ -20,11 +20,28 @@ use ter_text::Interval;
 use crate::merge::{merge_outcomes, merge_surfaced, RefineOutcome};
 use crate::router::ShardRouter;
 
+/// Count plus the hull of the ids folded in: a stale or misordered cell
+/// aggregate shows in the count or in either end of the hull.
 #[derive(Debug, Clone, PartialEq)]
-struct Count(usize);
-impl Aggregate for Count {
+struct IdSpan {
+    n: usize,
+    lo: u64,
+    hi: u64,
+}
+impl IdSpan {
+    fn of(id: u64) -> Self {
+        Self {
+            n: 1,
+            lo: id,
+            hi: id,
+        }
+    }
+}
+impl Aggregate for IdSpan {
     fn merge(&mut self, o: &Self) {
-        self.0 += o.0;
+        self.n += o.n;
+        self.lo = self.lo.min(o.lo);
+        self.hi = self.hi.max(o.hi);
     }
 }
 
@@ -41,11 +58,11 @@ fn arb_rect(dim: usize) -> impl Strategy<Value = Rect> {
 
 /// Sorted `(cell key, payload)` pairs of one or more grids — the exact
 /// placement, comparable across shardings.
-fn placement(grids: &[RegionGrid<u64, Count>]) -> Vec<(Vec<u16>, u64)> {
+fn placement(grids: &[RegionGrid<u64, IdSpan>]) -> Vec<(Vec<u16>, u64)> {
     let mut out: Vec<(Vec<u16>, u64)> = grids
         .iter()
         .flat_map(|g| {
-            g.iter_cells().flat_map(|(key, entries)| {
+            g.iter_cells().flat_map(|(key, _, entries)| {
                 entries
                     .iter()
                     .map(move |e| (key.to_vec(), e.payload))
@@ -55,6 +72,25 @@ fn placement(grids: &[RegionGrid<u64, Count>]) -> Vec<(Vec<u16>, u64)> {
         .collect();
     out.sort();
     out
+}
+
+/// Every cell of `grid` holds its entries in insertion (= id) order under
+/// a cached aggregate equal to a from-scratch fold of those entries.
+fn assert_cells_consistent(grid: &RegionGrid<u64, IdSpan>) {
+    for (key, agg, entries) in grid.iter_cells() {
+        let ids: Vec<u64> = entries.iter().map(|e| e.payload).collect();
+        prop_assert!(
+            ids.windows(2).all(|w| w[0] < w[1]),
+            "cell {:?} order {:?}",
+            key,
+            ids
+        );
+        let mut fold = IdSpan::of(ids[0]);
+        for &id in &ids[1..] {
+            fold.merge(&IdSpan::of(id));
+        }
+        prop_assert_eq!(agg, &fold, "cell {:?}", key);
+    }
 }
 
 proptest! {
@@ -87,28 +123,34 @@ proptest! {
         cells in 2u16..=6,
     ) {
         let mono_placement = {
-            let mut mono: RegionGrid<u64, Count> = RegionGrid::new(2, cells);
+            let mut mono: RegionGrid<u64, IdSpan> = RegionGrid::new(2, cells);
             for (i, r) in rects.iter().enumerate() {
-                mono.insert(r.clone(), i as u64, Count(1));
+                mono.insert(r.clone(), i as u64, IdSpan::of(i as u64));
+                assert_cells_consistent(&mono);
                 if i >= window {
                     let old = i - window;
-                    mono.evict(&rects[old], &(old as u64));
+                    prop_assert!(mono.evict(&rects[old], &(old as u64)));
+                    assert_cells_consistent(&mono);
                 }
             }
             placement(std::slice::from_ref(&mono))
         };
         for shards in [1usize, 2, 3, 4, 8] {
             let router = ShardRouter::new(shards);
-            let mut grids: Vec<RegionGrid<u64, Count>> =
+            let mut grids: Vec<RegionGrid<u64, IdSpan>> =
                 (0..shards).map(|_| RegionGrid::new(2, cells)).collect();
             for (i, r) in rects.iter().enumerate() {
                 for (s, g) in grids.iter_mut().enumerate() {
-                    g.insert_where(r.clone(), i as u64, Count(1), |key| router.owns(s, key));
+                    g.insert_where(r.clone(), i as u64, IdSpan::of(i as u64), |key| {
+                        router.owns(s, key)
+                    });
+                    assert_cells_consistent(g);
                 }
                 if i >= window {
                     let old = i - window;
                     for g in grids.iter_mut() {
                         g.evict(&rects[old], &(old as u64));
+                        assert_cells_consistent(g);
                     }
                 }
             }

@@ -3,13 +3,18 @@
 //! The ER-grid `G_ER` of §5.2 divides the pivot-converted data space into
 //! same-size cells; each cell stores the tuples whose converted points fall
 //! into it plus merged aggregates used for pruning. The grid supports the
-//! sliding-window maintenance of §5.2: O(1) insert of arriving tuples and
-//! O(cell) eviction of expired tuples with aggregate recomputation.
+//! sliding-window maintenance of §5.2 under a FIFO contract: entries are
+//! evicted in the order they were inserted, as a count-based window expires
+//! them. Each cell keeps its entries in insertion order and maintains its
+//! aggregate as a two-stack sliding-window aggregate (Tangwongsan, Hirzel &
+//! Schneider, "In-order sliding-window aggregation in worst-case constant
+//! time", VLDB J. 2021), so insert costs one merge and evicting the oldest
+//! entry costs O(1) merges amortized, independent of the cell's occupancy.
 //!
 //! This module is generic over the aggregate and payload; the TER-iDS
 //! engine instantiates it with the paper's 4-part tuple aggregates.
 
-use std::collections::hash_map;
+use std::collections::{hash_map, VecDeque};
 
 use ter_text::fxhash::FxHashMap;
 use ter_text::Interval;
@@ -20,22 +25,94 @@ use crate::Aggregate;
 /// Integer coordinates of a grid cell.
 pub type CellKey = Box<[u16]>;
 
-/// One stored item: an opaque id, its converted point, and its aggregate.
+/// One stored item: an opaque id and its converted point. The item's
+/// aggregate is folded into its cell's aggregate stacks.
 #[derive(Debug, Clone)]
-pub struct GridEntry<P, A> {
+pub struct GridEntry<P> {
     /// Caller-owned identifier (tuple id).
     pub payload: P,
     /// Point in the converted space.
     pub point: Box<[f64]>,
-    /// Per-item aggregate.
-    pub agg: A,
 }
 
+/// One non-empty cell. `entries` are oldest first and split into a front
+/// segment (the oldest `front.len()`) and a back segment (the rest).
+/// Every entry's aggregate is held exactly once: front-segment entries
+/// only through their suffix in `front`, back-segment entries in `back`.
 #[derive(Debug, Clone)]
 struct Cell<P, A> {
-    entries: Vec<GridEntry<P, A>>,
-    /// Merge of `entries`' aggregates; `None` only transiently.
-    agg: Option<A>,
+    entries: VecDeque<GridEntry<P>>,
+    /// Suffix aggregates of the front segment, oldest entry's on top:
+    /// `front[j]` merges front-segment entries `front.len() - 1 - j ..`.
+    front: Vec<A>,
+    /// Aggregates of the back-segment entries, oldest first.
+    back: Vec<A>,
+    /// Merge of `back`; `None` iff `back` is empty.
+    back_agg: Option<A>,
+    /// Merge of every entry: the front top merged with `back_agg`.
+    agg: A,
+}
+
+impl<P, A: Aggregate> Cell<P, A> {
+    fn new(entry: GridEntry<P>, agg: A) -> Self {
+        Self {
+            entries: VecDeque::from([entry]),
+            front: vec![agg.clone()],
+            back: Vec::new(),
+            back_agg: None,
+            agg,
+        }
+    }
+
+    /// Appends the newest entry: one merge into the running back
+    /// aggregate and one into the cell aggregate.
+    fn push(&mut self, entry: GridEntry<P>, agg: A) {
+        self.agg.merge(&agg);
+        match &mut self.back_agg {
+            None => self.back_agg = Some(agg.clone()),
+            Some(b) => b.merge(&agg),
+        }
+        self.back.push(agg);
+        self.entries.push_back(entry);
+    }
+
+    /// Removes the oldest entry if its payload is `payload` ("update the
+    /// aggregate information of cells", Algorithm 2 lines 6–7). Any other
+    /// payload returns `false` and leaves the cell unchanged. When the
+    /// front stack is empty, the back segment is folded into suffix
+    /// aggregates first — each entry moves front once, so eviction costs
+    /// O(1) merges amortized.
+    fn evict_oldest(&mut self, payload: &P) -> bool
+    where
+        P: PartialEq,
+    {
+        if self.entries.front().is_none_or(|e| &e.payload != payload) {
+            return false;
+        }
+        self.entries.pop_front();
+        if self.front.is_empty() {
+            while let Some(mut a) = self.back.pop() {
+                if let Some(suffix) = self.front.last() {
+                    a.merge(suffix);
+                }
+                self.front.push(a);
+            }
+            self.back_agg = None;
+        }
+        self.front.pop();
+        match (self.front.last(), &self.back_agg) {
+            (Some(f), Some(b)) => {
+                let mut agg = f.clone();
+                agg.merge(b);
+                self.agg = agg;
+            }
+            (Some(f), None) => self.agg = f.clone(),
+            (None, Some(b)) => self.agg = b.clone(),
+            // Now empty: the owning grid drops the cell.
+            (None, None) => {}
+        }
+        true
+    }
 }
 
 /// The grid synopsis. See the [module docs](self).
@@ -113,19 +190,21 @@ impl<P, A: Aggregate> Grid<P, A> {
     pub fn insert(&mut self, point: Vec<f64>, payload: P, agg: A) {
         assert_eq!(point.len(), self.dim, "point dimensionality mismatch");
         let key = self.key_of(&point);
-        let cell = self.cells.entry(key).or_insert_with(|| Cell {
-            entries: Vec::new(),
-            agg: None,
-        });
-        match &mut cell.agg {
-            None => cell.agg = Some(agg.clone()),
-            Some(a) => a.merge(&agg),
-        }
-        cell.entries.push(GridEntry {
+        let entry = GridEntry {
             payload,
             point: point.into_boxed_slice(),
-            agg,
-        });
+        };
+        self.push_at(key, entry, agg);
+    }
+
+    /// Appends `entry` as the newest entry of cell `key`.
+    fn push_at(&mut self, key: CellKey, entry: GridEntry<P>, agg: A) {
+        match self.cells.entry(key) {
+            hash_map::Entry::Occupied(mut occ) => occ.get_mut().push(entry, agg),
+            hash_map::Entry::Vacant(vac) => {
+                vac.insert(Cell::new(entry, agg));
+            }
+        }
         self.len += 1;
     }
 
@@ -137,14 +216,10 @@ impl<P, A: Aggregate> Grid<P, A> {
     pub fn traverse<'a>(
         &'a self,
         mut visit_cell: impl FnMut(&Rect, &A) -> bool,
-        mut on_entry: impl FnMut(&'a GridEntry<P, A>),
+        mut on_entry: impl FnMut(&'a GridEntry<P>),
     ) {
         for (key, cell) in &self.cells {
-            let agg = match &cell.agg {
-                Some(a) => a,
-                None => continue,
-            };
-            if !visit_cell(&self.cell_rect(key), agg) {
+            if !visit_cell(&self.cell_rect(key), &cell.agg) {
                 continue;
             }
             for e in &cell.entries {
@@ -154,7 +229,7 @@ impl<P, A: Aggregate> Grid<P, A> {
     }
 
     /// All entries whose point lies inside `range`.
-    pub fn range_query(&self, range: &Rect) -> Vec<&GridEntry<P, A>> {
+    pub fn range_query(&self, range: &Rect) -> Vec<&GridEntry<P>> {
         let mut out = Vec::new();
         self.traverse(
             |rect, _| range.intersects(rect),
@@ -168,16 +243,30 @@ impl<P, A: Aggregate> Grid<P, A> {
     }
 
     /// Iterates over every stored entry.
-    pub fn iter(&self) -> impl Iterator<Item = &GridEntry<P, A>> {
+    pub fn iter(&self) -> impl Iterator<Item = &GridEntry<P>> {
         self.cells.values().flat_map(|c| c.entries.iter())
     }
 
-    /// Checks invariants: cell membership of points and the length counter.
+    /// Iterates over non-empty cells as `(cell key, aggregate, entries
+    /// oldest first)`, in unspecified cell order — lets checkpoints persist
+    /// the cells and differential tests compare grids cell by cell.
+    pub fn iter_cells(&self) -> impl Iterator<Item = (&CellKey, &A, &VecDeque<GridEntry<P>>)> {
+        self.cells.iter().map(|(k, c)| (k, &c.agg, &c.entries))
+    }
+
+    /// Checks invariants: cell membership of points, the two-stack shape
+    /// of every cell, and the length counter.
     pub fn check_invariants(&self) -> Result<(), String> {
         let mut total = 0;
         for (key, cell) in &self.cells {
             if cell.entries.is_empty() {
                 return Err("empty cell retained".into());
+            }
+            if cell.front.len() + cell.back.len() != cell.entries.len() {
+                return Err(format!("cell {key:?} stacks do not cover its entries"));
+            }
+            if cell.back_agg.is_some() == cell.back.is_empty() {
+                return Err(format!("cell {key:?} back aggregate out of step"));
             }
             for e in &cell.entries {
                 if self.key_of(&e.point) != *key {
@@ -195,32 +284,28 @@ impl<P, A: Aggregate> Grid<P, A> {
 
 impl<P: PartialEq, A: Aggregate> Grid<P, A> {
     /// Evicts the item with the given payload located at `point`
-    /// (the sliding-window expiry of §5.2). Recomputes the cell aggregate
-    /// from the survivors and drops the cell if it became empty.
+    /// (the sliding-window expiry of §5.2). The item must be the oldest of
+    /// its cell (see the [module docs](self)); otherwise nothing changes.
+    /// Drops the cell if it became empty.
     ///
     /// Returns `true` if an item was removed.
     pub fn evict(&mut self, point: &[f64], payload: &P) -> bool {
         let key = self.key_of(point);
+        self.evict_at(key, payload)
+    }
+
+    /// Evicts `payload` from cell `key` if it is that cell's oldest entry.
+    fn evict_at(&mut self, key: CellKey, payload: &P) -> bool {
         let hash_map::Entry::Occupied(mut occ) = self.cells.entry(key) else {
             return false;
         };
-        let cell = occ.get_mut();
-        let Some(pos) = cell.entries.iter().position(|e| &e.payload == payload) else {
+        if !occ.get_mut().evict_oldest(payload) {
             return false;
-        };
-        cell.entries.swap_remove(pos);
-        self.len -= 1;
-        if cell.entries.is_empty() {
-            occ.remove();
-        } else {
-            // Exact aggregate recomputation ("update the aggregate
-            // information of cells", Algorithm 2 lines 6–7).
-            let mut agg = cell.entries[0].agg.clone();
-            for e in &cell.entries[1..] {
-                agg.merge(&e.agg);
-            }
-            cell.agg = Some(agg);
         }
+        if occ.get().entries.is_empty() {
+            occ.remove();
+        }
+        self.len -= 1;
         true
     }
 }
@@ -341,57 +426,26 @@ impl<P: Clone + PartialEq, A: Aggregate> RegionGrid<P, A> {
         agg: A,
     ) {
         assert_eq!(rect.dim(), self.inner.dim);
+        let lo: Box<[f64]> = rect.dims().iter().map(|iv| iv.lo).collect();
         for key in keys {
             debug_assert_eq!(key.len(), self.inner.dim);
-            let cell = self.inner.cells.entry(key).or_insert_with(|| Cell {
-                entries: Vec::new(),
-                agg: None,
-            });
-            match &mut cell.agg {
-                None => cell.agg = Some(agg.clone()),
-                Some(a) => a.merge(&agg),
-            }
-            // Reuse GridEntry's point slot for the rect's low corner; the
-            // rect itself is recoverable from the payload owner. To keep
-            // eviction exact we store the rect per entry via the aggregate
-            // pairing below.
-            cell.entries.push(GridEntry {
+            // The entry's point slot holds the rect's low corner.
+            let entry = GridEntry {
                 payload: payload.clone(),
-                point: rect
-                    .dims()
-                    .iter()
-                    .map(|iv| iv.lo)
-                    .collect::<Vec<_>>()
-                    .into_boxed_slice(),
-                agg: agg.clone(),
-            });
-            self.inner.len += 1;
+                point: lo.clone(),
+            };
+            self.inner.push_at(key, entry, agg.clone());
         }
     }
 
-    /// Removes a region (must pass the same rect used at insert).
-    /// Returns `true` if at least one cell entry was removed.
+    /// Removes a region (must pass the same rect used at insert) from
+    /// every cell where it is the oldest entry — under the FIFO contract
+    /// of the [module docs](self), every cell that holds it. Returns
+    /// `true` if at least one cell entry was removed.
     pub fn evict(&mut self, rect: &Rect, payload: &P) -> bool {
         let mut removed_any = false;
         for key in self.keys_of_rect(rect) {
-            let hash_map::Entry::Occupied(mut occ) = self.inner.cells.entry(key) else {
-                continue;
-            };
-            let cell = occ.get_mut();
-            if let Some(pos) = cell.entries.iter().position(|e| &e.payload == payload) {
-                cell.entries.swap_remove(pos);
-                self.inner.len -= 1;
-                removed_any = true;
-                if cell.entries.is_empty() {
-                    occ.remove();
-                } else {
-                    let mut agg = cell.entries[0].agg.clone();
-                    for e in &cell.entries[1..] {
-                        agg.merge(&e.agg);
-                    }
-                    cell.agg = Some(agg);
-                }
-            }
+            removed_any |= self.inner.evict_at(key, payload);
         }
         removed_any
     }
@@ -402,7 +456,7 @@ impl<P: Clone + PartialEq, A: Aggregate> RegionGrid<P, A> {
     pub fn traverse<'a>(
         &'a self,
         visit_cell: impl FnMut(&Rect, &A) -> bool,
-        on_entry: impl FnMut(&'a GridEntry<P, A>),
+        on_entry: impl FnMut(&'a GridEntry<P>),
     ) {
         self.inner.traverse(visit_cell, on_entry);
     }
@@ -416,14 +470,9 @@ impl<P: Clone + PartialEq, A: Aggregate> RegionGrid<P, A> {
         out
     }
 
-    /// Iterates over non-empty cells as `(cell key, entries)` pairs, in
-    /// unspecified order — lets differential tests compare a set of shard
-    /// grids cell-by-cell against a monolithic grid.
-    pub fn iter_cells(&self) -> impl Iterator<Item = (&CellKey, &[GridEntry<P, A>])> {
-        self.inner
-            .cells
-            .iter()
-            .map(|(k, c)| (k, c.entries.as_slice()))
+    /// Iterates over non-empty cells; see [`Grid::iter_cells`].
+    pub fn iter_cells(&self) -> impl Iterator<Item = (&CellKey, &A, &VecDeque<GridEntry<P>>)> {
+        self.inner.iter_cells()
     }
 }
 
@@ -521,6 +570,50 @@ mod tests {
     }
 
     #[test]
+    fn evict_non_oldest_is_refused() {
+        let mut g: RegionGrid<u64, Count> = RegionGrid::new(1, 4);
+        let r = Rect::new(vec![Interval::new(0.1, 0.6)]); // cells 0–2
+        for id in 1..=3 {
+            g.insert(r.clone(), id, Count(id as usize));
+        }
+        // Force a front/back split: evicting 1 folds 2 and 3 into the
+        // front stack; 4 lands in the back segment.
+        assert!(g.evict(&r, &1));
+        g.insert(r.clone(), 4, Count(4));
+        let snapshot = |g: &RegionGrid<u64, Count>| {
+            let mut cells: Vec<(Vec<u16>, Count, Vec<u64>)> = g
+                .iter_cells()
+                .map(|(k, a, es)| {
+                    (
+                        k.to_vec(),
+                        a.clone(),
+                        es.iter().map(|e| e.payload).collect(),
+                    )
+                })
+                .collect();
+            cells.sort_by(|a, b| a.0.cmp(&b.0));
+            cells
+        };
+        let before = snapshot(&g);
+        assert_eq!(before.len(), 3);
+        for (_, agg, ids) in &before {
+            assert_eq!(*agg, Count(2 + 3 + 4));
+            assert_eq!(*ids, vec![2, 3, 4]);
+        }
+        for id in [3, 4, 1] {
+            assert!(!g.evict(&r, &id), "evicted non-oldest {id}");
+        }
+        assert_eq!(snapshot(&g), before);
+        assert_eq!(g.cell_entry_count(), 9);
+        // The oldest still evicts, and the aggregate follows.
+        assert!(g.evict(&r, &2));
+        for (_, agg, ids) in snapshot(&g) {
+            assert_eq!(agg, Count(3 + 4));
+            assert_eq!(ids, vec![3, 4]);
+        }
+    }
+
+    #[test]
     fn cell_pruning_skips_entries() {
         let mut g: Grid<u32, Count> = Grid::new(1, 10);
         for i in 0..100u32 {
@@ -601,11 +694,11 @@ mod tests {
             even.cell_entry_count() + odd.cell_entry_count(),
             mono.cell_entry_count()
         );
-        let mut mono_keys: Vec<_> = mono.iter_cells().map(|(k, _)| k.clone()).collect();
+        let mut mono_keys: Vec<_> = mono.iter_cells().map(|(k, ..)| k.clone()).collect();
         let mut shard_keys: Vec<_> = even
             .iter_cells()
             .chain(odd.iter_cells())
-            .map(|(k, _)| k.clone())
+            .map(|(k, ..)| k.clone())
             .collect();
         mono_keys.sort();
         shard_keys.sort();

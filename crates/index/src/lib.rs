@@ -12,8 +12,9 @@
 //! * [`ArTree`] — an aggregate R-tree ([Lazaridis & Mehrotra, SIGMOD'01],
 //!   reference \[20\] of the paper) with STR bulk loading, incremental
 //!   insert/delete, and pruning traversal driven by node aggregates;
-//! * [`Grid`] — an equi-width grid over `[0,1]^d` with per-cell aggregates
-//!   and O(1) insert/evict, the backbone of the ER-grid.
+//! * [`Grid`] — an equi-width grid over `[0,1]^d` with per-cell aggregates,
+//!   O(1) insert and O(1)-amortized oldest-first evict, the backbone of the
+//!   ER-grid.
 //!
 //! The TER-iDS-specific aggregate contents live in the crates that own the
 //! semantics (`ter-rules` for the CDD-index, `ter-repo` for the DR-index,

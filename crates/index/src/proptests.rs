@@ -17,6 +17,31 @@ impl Aggregate for Count {
     }
 }
 
+/// Count plus the hull of the ids folded in: a stale or misordered cell
+/// aggregate shows in the count or in either end of the hull.
+#[derive(Debug, Clone, PartialEq)]
+struct IdSpan {
+    n: usize,
+    lo: usize,
+    hi: usize,
+}
+impl IdSpan {
+    fn of(id: usize) -> Self {
+        Self {
+            n: 1,
+            lo: id,
+            hi: id,
+        }
+    }
+}
+impl Aggregate for IdSpan {
+    fn merge(&mut self, o: &Self) {
+        self.n += o.n;
+        self.lo = self.lo.min(o.lo);
+        self.hi = self.hi.max(o.hi);
+    }
+}
+
 fn arb_point(dim: usize) -> impl Strategy<Value = Vec<f64>> {
     proptest::collection::vec((0u32..=100).prop_map(|v| v as f64 / 100.0), dim)
 }
@@ -119,18 +144,20 @@ proptest! {
         prop_assert_eq!(got, expect);
     }
 
-    /// Grid range query ≡ linear scan under insert/evict churn.
+    /// Grid range query ≡ linear scan under FIFO insert/evict churn, and
+    /// after every op each cell holds its entries in insertion order under
+    /// a cached aggregate equal to a from-scratch fold of those entries.
     #[test]
     fn grid_matches_scan_under_churn(
         ops in proptest::collection::vec((arb_point(2), any::<bool>()), 1..100),
         range in arb_rect(2),
     ) {
-        let mut grid: Grid<usize, Count> = Grid::new(2, 7);
+        let mut grid: Grid<usize, IdSpan> = Grid::new(2, 7);
         let mut model: Vec<(Vec<f64>, usize)> = Vec::new();
         let mut next_id = 0usize;
         for (point, is_insert) in ops {
             if is_insert || model.is_empty() {
-                grid.insert(point.clone(), next_id, Count(1));
+                grid.insert(point.clone(), next_id, IdSpan::of(next_id));
                 model.push((point, next_id));
                 next_id += 1;
             } else {
@@ -138,6 +165,15 @@ proptest! {
                 prop_assert!(grid.evict(&p, &id));
             }
             grid.check_invariants().unwrap();
+            for (key, agg, entries) in grid.iter_cells() {
+                let ids: Vec<usize> = entries.iter().map(|e| e.payload).collect();
+                prop_assert!(ids.windows(2).all(|w| w[0] < w[1]), "cell {:?} order {:?}", key, ids);
+                let mut fold = IdSpan::of(ids[0]);
+                for &id in &ids[1..] {
+                    fold.merge(&IdSpan::of(id));
+                }
+                prop_assert_eq!(agg, &fold, "cell {:?}", key);
+            }
         }
         let mut got: Vec<usize> = grid.range_query(&range).iter().map(|e| e.payload).collect();
         let mut expect: Vec<usize> = model

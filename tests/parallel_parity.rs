@@ -182,6 +182,61 @@ fn assert_parity(p: Preset, scale: f64) {
     assert_eq!(par, seq, "{}: forced-fanout overlap diverged", p.name());
 }
 
+/// The window-2000 oracle: EBooks where the few occupied grid cells hold
+/// hundreds to thousands of entries each and, once the window fills,
+/// every arrival evicts — the size at which the grid's amortized
+/// eviction acts. Sequential ≡ sharded in the daemon's execution shape
+/// (persistent pool session, overlapped drive) at T ∈ {1, 2}.
+#[test]
+#[cfg_attr(debug_assertions, ignore = "window-2000 oracle; runs in release")]
+fn ebooks_parity_window_2000() {
+    let ds = preset(
+        Preset::EBooks,
+        &GenOptions {
+            scale: 3.5,
+            missing_rate: 0.3,
+            missing_attrs: 1,
+            ..GenOptions::default()
+        },
+    );
+    let ctx = TerContext::build(
+        ds.repo.clone(),
+        ds.keywords(),
+        &PivotConfig::default(),
+        &DiscoveryConfig::default(),
+        16,
+    );
+    let params = Params {
+        window: 2000,
+        ..Params::default()
+    };
+    let arrivals = ds.streams.arrivals();
+    assert!(
+        arrivals.len() > 2 * params.window,
+        "stream of {} arrivals must churn the window more than once",
+        arrivals.len()
+    );
+    let seq = trace_sequential(&ctx, &arrivals, params);
+    assert!(
+        seq.stats.total_pairs > 0,
+        "degenerate run, nothing compared"
+    );
+    for threads in [1usize, 2] {
+        let par = trace_sharded(
+            &ctx,
+            &arrivals,
+            params,
+            ExecConfig::new(4, threads),
+            16,
+            true,
+        );
+        assert_eq!(
+            par, seq,
+            "sharded(S=4, T={threads}) diverged at window 2000"
+        );
+    }
+}
+
 #[test]
 fn citations_parity() {
     assert_parity(Preset::Citations, 0.16);

@@ -233,15 +233,25 @@ fn run_scenario(
 
 fn assert_recovery_parity(p: Preset, scale: f64) {
     let (ctx, arrivals, params) = build_ctx(p, scale);
+    assert_recovery_parity_at(p, &ctx, &arrivals, params, &SCENARIOS);
+}
+
+fn assert_recovery_parity_at(
+    p: Preset,
+    ctx: &TerContext,
+    arrivals: &[Arrival],
+    params: Params,
+    scenarios: &[(u64, u64)],
+) {
     assert!(
-        arrivals.len() > SCENARIOS.iter().map(|&(_, c)| c).max().unwrap() as usize * BATCH,
+        arrivals.len() > scenarios.iter().map(|&(_, c)| c).max().unwrap() as usize * BATCH,
         "{}: stream too small for the configured cuts",
         p.name()
     );
 
     // Uninterrupted oracle (sequential; the sharded engine is bit-identical
     // to it by the PR 2 parity suite).
-    let mut oracle = TerIdsEngine::new(&ctx, params, PruningMode::Full);
+    let mut oracle = TerIdsEngine::new(ctx, params, PruningMode::Full);
     let oracle_steps: Vec<Vec<(u64, u64)>> = arrivals
         .iter()
         .map(|a| oracle.process(a).new_matches)
@@ -253,13 +263,13 @@ fn assert_recovery_parity(p: Preset, scale: f64) {
     );
     let oracle_final = oracle.export_state();
 
-    for &(ckpt_batch, crash_batch) in &SCENARIOS {
+    for &(ckpt_batch, crash_batch) in scenarios {
         for kind in [Kind::Sequential, Kind::Sharded] {
             run_scenario(
                 p.name(),
                 kind,
-                &ctx,
-                &arrivals,
+                ctx,
+                arrivals,
                 params,
                 &oracle_steps,
                 &oracle_final,
@@ -293,6 +303,76 @@ fn ebooks_recovery_parity() {
 #[test]
 fn songs_recovery_parity() {
     assert_recovery_parity(Preset::Songs, 0.06);
+}
+
+/// The window-2000 oracle: EBooks where the few occupied grid cells hold
+/// hundreds to thousands of entries each, with the checkpoint and the
+/// crash well past the first eviction and the run continuing for more
+/// than a window after recovery — the size at which the grid's amortized
+/// eviction acts.
+#[test]
+#[cfg_attr(debug_assertions, ignore = "window-2000 oracle; runs in release")]
+fn ebooks_recovery_parity_window_2000() {
+    let (ctx, arrivals, params) = build_ctx(Preset::EBooks, 3.5);
+    let params = Params {
+        window: 2000,
+        ..params
+    };
+    // Checkpoint at arrival 2400, crash at 2720; ≥ 2000 arrivals follow.
+    let scenarios = [(150, 170)];
+    assert!(arrivals.len() >= 170 * BATCH + params.window);
+    assert_recovery_parity_at(Preset::EBooks, &ctx, &arrivals, params, &scenarios);
+}
+
+/// Checkpoints written while grid eviction still swapped and re-folded
+/// hold each cell's ids in scrambled order. Import must re-derive the
+/// insertion order from the window: restoring a state whose every cell
+/// list is reversed into either engine, then running past a full window
+/// of evictions, must stay bit-identical to the uninterrupted oracle.
+#[test]
+fn scrambled_cell_order_imports_bit_identical() {
+    let (ctx, arrivals, params) = build_ctx(Preset::Citations, 0.14);
+    let cut = 4 * BATCH;
+    assert!(
+        cut > WINDOW && arrivals.len() >= cut + WINDOW,
+        "{} arrivals: need a full window before and after the cut",
+        arrivals.len()
+    );
+    let mut oracle = TerIdsEngine::new(&ctx, params, PruningMode::Full);
+    let oracle_steps: Vec<Vec<(u64, u64)>> = arrivals
+        .iter()
+        .map(|a| oracle.process(a).new_matches)
+        .collect();
+
+    let mut state = {
+        let mut e = TerIdsEngine::new(&ctx, params, PruningMode::Full);
+        for batch in arrivals[..cut].chunks(BATCH) {
+            e.step_batch(batch);
+        }
+        e.export_state()
+    };
+    assert!(
+        state.cells.iter().any(|(_, ids)| ids.len() > 1),
+        "no cell to scramble"
+    );
+    for (_, ids) in &mut state.cells {
+        ids.reverse();
+    }
+
+    for kind in [Kind::Sequential, Kind::Sharded] {
+        let mut engine = make_engine(kind, &ctx, params);
+        engine.import(&state).expect("import scrambled state");
+        let mut steps = Vec::new();
+        for batch in arrivals[cut..].chunks(BATCH) {
+            steps.extend(engine.step(batch));
+        }
+        assert_eq!(steps, &oracle_steps[cut..], "steps after import diverged");
+        assert_eq!(
+            engine.export(),
+            oracle.export_state(),
+            "final state diverged"
+        );
+    }
 }
 
 /// A checkpoint written by the sequential engine must restore into the
