@@ -15,24 +15,26 @@
 //!    then Theorem 4.4 early-terminated exact refinement; survivors enter
 //!    the result set (lines 15–26).
 
+use std::ops::Deref;
+use std::sync::Arc;
 use std::time::Instant;
 
 use ter_impute::{ImputeConfig, RuleImputer, RuleRetrieval};
 use ter_index::RegionGrid;
 use ter_repo::{DrIndex, PivotConfig, PivotTable, Repository};
 use ter_rules::{detect_cdds, detect_dds, detect_editing_rules, Cdd, CddIndex, DiscoveryConfig};
-use ter_stream::{Arrival, ProbTuple, SlidingWindow};
-use ter_text::fxhash::{FxHashMap, FxHashSet};
+use ter_stream::{Arrival, ProbTuple};
+use ter_text::fxhash::FxHashSet;
 use ter_text::KeywordSet;
 
-use crate::candidates;
+use crate::live::LiveState;
 use crate::meta::{AuxLayout, ErAggregate, TupleMeta};
 use crate::metrics::{PhaseTiming, PruneStats};
 use crate::params::Params;
 pub use crate::params::PruningMode;
 use crate::pruning;
-use crate::refine::{decide_pair, PairContext, PairDecision};
-use crate::results::{norm_pair, ResultSet};
+use crate::refine::{refine_candidates, PairContext};
+use crate::results::ResultSet;
 use crate::state::EngineState;
 use crate::ErProcessor;
 
@@ -144,7 +146,9 @@ pub struct StepOutput {
     pub timing: PhaseTiming,
 }
 
-/// The TER-iDS engine. See the [module docs](self).
+/// The TER-iDS engine: a [`LiveState`] plus one ER-grid. See the
+/// [module docs](self). Dereferences to its [`LiveState`] for the read
+/// accessors (`window_len`, `meta`, `live_ids`, …).
 pub struct TerIdsEngine<'a> {
     ctx: &'a TerContext,
     params: Params,
@@ -152,18 +156,7 @@ pub struct TerIdsEngine<'a> {
     gamma: f64,
     imputer: RuleImputer<'a>,
     grid: RegionGrid<u64, ErAggregate>,
-    window: SlidingWindow<u64>,
-    metas: FxHashMap<u64, TupleMeta>,
-    /// Live tuple count per stream (for O(1) candidate-pair accounting).
-    stream_counts: Vec<usize>,
-    /// Live tuples with `possibly_topical = true` — the inverted list
-    /// realizing Theorem 4.1: a non-topical arrival can only match a
-    /// topical counterpart, so only this (small) set is ever examined.
-    topical_ids: FxHashSet<u64>,
-    results: ResultSet,
-    reported: FxHashSet<(u64, u64)>,
-    stats: PruneStats,
-    timing: PhaseTiming,
+    live: LiveState,
     name: &'static str,
 }
 
@@ -180,14 +173,7 @@ impl<'a> TerIdsEngine<'a> {
             gamma: params.gamma(d),
             imputer,
             grid: RegionGrid::new(d, params.grid_cells),
-            window: SlidingWindow::new(params.window),
-            metas: FxHashMap::default(),
-            stream_counts: Vec::new(),
-            topical_ids: FxHashSet::default(),
-            results: ResultSet::new(),
-            reported: FxHashSet::default(),
-            stats: PruneStats::default(),
-            timing: PhaseTiming::default(),
+            live: LiveState::new(params.window),
             name: match mode {
                 PruningMode::Full => "TER-iDS",
                 PruningMode::GridOnly => "Ij+GER",
@@ -200,79 +186,22 @@ impl<'a> TerIdsEngine<'a> {
         self.gamma
     }
 
-    /// Number of unexpired tuples.
-    pub fn window_len(&self) -> usize {
-        self.window.len()
-    }
-
-    /// Window capacity `w`.
-    pub fn window_capacity(&self) -> usize {
-        self.params.window
-    }
-
-    /// Metadata of a live tuple.
-    pub fn meta(&self, id: u64) -> Option<&TupleMeta> {
-        self.metas.get(&id)
-    }
-
-    /// Ids of the unexpired tuples, ascending (for differential tests
-    /// against the batch-parallel engine).
-    pub fn live_ids(&self) -> Vec<u64> {
-        let mut ids: Vec<u64> = self.metas.keys().copied().collect();
-        ids.sort_unstable();
-        ids
-    }
-
     /// Snapshots the engine's dynamic state in the canonical
     /// [`EngineState`] representation (window order, sorted pairs, sorted
     /// cell keys). The sharded engine exports an *equal* state at the same
     /// stream position, so checkpoints are portable across engines.
     pub fn export_state(&self) -> EngineState {
-        let window: Vec<(u64, u64)> = self.window.iter().map(|(t, id)| (t, *id)).collect();
-        let metas = window
-            .iter()
-            .map(|(_, id)| self.metas[id].clone())
-            .collect();
-        let mut results: Vec<(u64, u64)> = self.results.iter().collect();
-        results.sort_unstable();
-        let mut reported: Vec<(u64, u64)> = self.reported.iter().copied().collect();
-        reported.sort_unstable();
-        let mut cells: Vec<(ter_index::CellKey, Vec<u64>)> = self
-            .grid
-            .iter_cells()
-            .map(|(k, _, entries)| (k.clone(), entries.iter().map(|e| e.payload).collect()))
-            .collect();
-        cells.sort_by(|(a, _), (b, _)| a.cmp(b));
-        EngineState {
-            window_capacity: self.params.window,
-            grid_cells: self.params.grid_cells,
-            window,
-            metas,
-            stream_counts: self.stream_counts.clone(),
-            results,
-            reported,
-            stats: self.stats,
-            cells,
-        }
+        self.live.export(self.params.grid_cells, [&self.grid])
     }
 
     /// Replaces the engine's dynamic state with a validated snapshot
     /// (recovery: load the newest checkpoint, then replay the WAL suffix
     /// through [`ErProcessor::step_batch`]). The static context, params,
-    /// and pruning mode stay as constructed; phase timings restart at zero
-    /// (wall clock is not recoverable state). On `Err` the engine is left
+    /// and pruning mode stay as constructed. On `Err` the engine is left
     /// untouched — the recovery path must never panic or half-apply.
     pub fn import_state(&mut self, state: &EngineState) -> Result<(), String> {
         let d = self.ctx.arity();
-        state.validate(d, self.params.window, self.params.grid_cells)?;
-        let mut metas: FxHashMap<u64, TupleMeta> = FxHashMap::default();
-        let mut topical_ids: FxHashSet<u64> = FxHashSet::default();
-        for meta in &state.metas {
-            if meta.possibly_topical {
-                topical_ids.insert(meta.id);
-            }
-            metas.insert(meta.id, meta.clone());
-        }
+        self.live.import(state, d, self.params.grid_cells)?;
         let mut grid = RegionGrid::new(d, self.params.grid_cells);
         for (meta, keys) in state.cells_by_tuple() {
             grid.insert_at(
@@ -282,42 +211,8 @@ impl<'a> TerIdsEngine<'a> {
                 meta.aggregate(),
             );
         }
-        let mut window = SlidingWindow::new(self.params.window);
-        for &(ts, id) in &state.window {
-            // validate() bounds the length by the capacity and checks
-            // monotonic timestamps, so no push can evict or assert.
-            window.push(ts, id);
-        }
-        let mut results = ResultSet::new();
-        for &(a, b) in &state.results {
-            results.insert(a, b);
-        }
         self.grid = grid;
-        self.window = window;
-        self.metas = metas;
-        self.stream_counts = state.stream_counts.clone();
-        self.topical_ids = topical_ids;
-        self.results = results;
-        self.reported = state.reported.iter().copied().collect();
-        self.stats = state.stats;
-        self.timing = PhaseTiming::default();
         Ok(())
-    }
-
-    /// Evicts the expired tuple from grid, metadata, and result set;
-    /// returns the live pairs the eviction dropped, normalized and sorted
-    /// (the step's retraction delta).
-    fn expire(&mut self, old_id: u64) -> Vec<(u64, u64)> {
-        if let Some(meta) = self.metas.remove(&old_id) {
-            let evicted = self.grid.evict(&meta.region(), &old_id);
-            debug_assert!(evicted, "tuple {old_id} was not the oldest of its cells");
-            let removed = self.results.remove_involving(old_id);
-            self.stream_counts[meta.stream_id] -= 1;
-            self.topical_ids.remove(&old_id);
-            removed
-        } else {
-            Vec::new()
-        }
     }
 
     /// Cell keys currently holding at least one live tuple, with their
@@ -329,15 +224,13 @@ impl<'a> TerIdsEngine<'a> {
             .map(|(.., entries)| entries.len())
             .collect()
     }
+}
 
-    /// Live tuple count per stream id.
-    pub fn stream_tuple_counts(&self) -> &[usize] {
-        &self.stream_counts
-    }
+impl Deref for TerIdsEngine<'_> {
+    type Target = LiveState;
 
-    /// Number of live tuples currently flagged possibly-topical.
-    pub fn topical_count(&self) -> usize {
-        self.topical_ids.len()
+    fn deref(&self) -> &LiveState {
+        &self.live
     }
 }
 
@@ -354,11 +247,10 @@ impl ErProcessor for TerIdsEngine<'_> {
 
         // ---- expiry (Algorithm 2 lines 2–7) ----
         let er_start = Instant::now();
-        let mut retractions = Vec::new();
-        let mut expired = Vec::new();
-        if let Some((_, old_id)) = self.window.push(arrival.timestamp, arrival.record.id) {
-            expired.push(old_id);
-            retractions = self.expire(old_id);
+        let (evicted, retractions) = self.live.push(arrival.timestamp, arrival.record.id);
+        if let Some(old) = &evicted {
+            let ok = self.grid.evict(&old.region(), &old.id);
+            debug_assert!(ok, "tuple {} was not the oldest of its cells", old.id);
         }
         step_timing.er += er_start.elapsed();
 
@@ -375,7 +267,7 @@ impl ErProcessor for TerIdsEngine<'_> {
             pt
         };
         let t = Instant::now();
-        let meta = TupleMeta::build(
+        let meta = Arc::new(TupleMeta::build(
             arrival.record.id,
             arrival.stream_id,
             arrival.timestamp,
@@ -383,102 +275,57 @@ impl ErProcessor for TerIdsEngine<'_> {
             &self.ctx.pivots,
             &self.ctx.layout,
             &self.ctx.keywords,
-        );
+        ));
 
         // ---- candidate retrieval through the ER-grid ----
-        let gamma = self.gamma;
         let aux_counts = &self.ctx.aux_counts;
         let mut surfaced: FxHashSet<u64> = FxHashSet::default();
         self.grid.traverse(
-            |_rect, agg| pruning::cell_survives(&meta, agg, gamma, aux_counts),
+            |_rect, agg| pruning::cell_survives(&meta, agg, self.gamma, aux_counts),
             |entry| {
                 surfaced.insert(entry.payload);
             },
         );
 
         // ---- pair-level pruning + refinement ----
-        // Candidate pairs = live tuples of *other* streams (the problem
-        // statement pairs tuples "from two of n data streams"); selection,
-        // Theorem 4.1's inverted list, and the bulk attribution of pairs
-        // in pruned-out cells live in [`candidates`], shared with the
-        // sharded engine.
-        let cands =
-            candidates::examined_candidates(&meta, &surfaced, &self.topical_ids, &self.metas);
-        let examined = cands.len() as u64;
-
         let pair_ctx = PairContext {
             keywords: &self.ctx.keywords,
-            gamma,
+            gamma: self.gamma,
             alpha: self.params.alpha,
             aux_counts,
             mode: self.mode,
         };
-        let mut new_matches = Vec::new();
-        for other in cands {
-            match decide_pair(&meta, other, &pair_ctx) {
-                PairDecision::SimPruned => self.stats.sim += 1,
-                PairDecision::ProbPruned => self.stats.prob += 1,
-                PairDecision::InstancePruned => self.stats.instance += 1,
-                PairDecision::Match => {
-                    self.stats.matches += 1;
-                    new_matches.push(norm_pair(meta.id, other.id));
-                }
-            }
-        }
-        candidates::account_pairs(
-            &meta,
-            examined,
-            &self.stream_counts,
-            &self.topical_ids,
-            &self.metas,
-            &mut self.stats,
-        );
-        // Candidates are examined in ascending-id order and pairs are
-        // normalized, so a step's match list is a deterministic function
-        // of the arrival order — directly comparable with the sharded
-        // engine's merged output.
-        new_matches.sort_unstable();
-        for &(a, b) in &new_matches {
-            self.results.insert(a, b);
-            self.reported.insert((a, b));
-        }
+        let cands = self.live.candidates(&meta, &surfaced);
+        let outcome = refine_candidates(&meta, &cands, &pair_ctx);
 
         // ---- register the new tuple (lines 11–13) ----
         self.grid.insert(meta.region(), meta.id, meta.aggregate());
-        if self.stream_counts.len() <= meta.stream_id {
-            self.stream_counts.resize(meta.stream_id + 1, 0);
-        }
-        self.stream_counts[meta.stream_id] += 1;
-        if meta.possibly_topical {
-            self.topical_ids.insert(meta.id);
-        }
-        let prev = self.metas.insert(meta.id, meta);
-        assert!(prev.is_none(), "duplicate tuple id {}", arrival.record.id);
+        let new_matches = self.live.finalize(meta, outcome);
         step_timing.er += t.elapsed();
 
-        self.timing.accumulate(&step_timing);
+        self.live.record_timing(&step_timing);
         StepOutput {
             new_matches,
             retractions,
-            expired,
+            expired: evicted.map(|m| m.id).into_iter().collect(),
             timing: step_timing,
         }
     }
 
     fn results(&self) -> &ResultSet {
-        &self.results
+        self.live.results()
     }
 
     fn reported(&self) -> &FxHashSet<(u64, u64)> {
-        &self.reported
+        self.live.reported()
     }
 
     fn prune_stats(&self) -> PruneStats {
-        self.stats
+        self.live.prune_stats()
     }
 
     fn timing(&self) -> PhaseTiming {
-        self.timing
+        self.live.timing()
     }
 }
 

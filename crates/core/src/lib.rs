@@ -17,6 +17,9 @@
 //!   probability upper bound);
 //! * [`refine`] — exact `Pr_TER-iDS` (Equation 2) and the
 //!   instance-pair-level early termination of Theorem 4.4;
+//! * [`live`] — the live-window state (window, metadata, `ES`, counts,
+//!   statistics) with expiry, candidate selection, arrival finalization,
+//!   admission and snapshot export/import, shared by every engine;
 //! * [`engine`] — Algorithm 1/2: the full TER-iDS processor with ER-grid
 //!   maintenance and the imputation/pruning/refinement pipeline;
 //! * [`baselines`] — the five §6 competitors (`Ij+GER`, `CDD+ER`, `DD+ER`,
@@ -28,8 +31,8 @@
 //!   ([`EngineState`]) behind the `ter_store` checkpoint/recovery layer.
 
 pub mod baselines;
-pub mod candidates;
 pub mod engine;
+pub mod live;
 pub mod meta;
 pub mod metrics;
 pub mod params;
@@ -43,10 +46,11 @@ mod proptests;
 
 pub use baselines::NaiveEngine;
 pub use engine::{PruningMode, StepOutput, TerContext, TerIdsEngine};
+pub use live::LiveState;
 pub use meta::{ErAggregate, TupleMeta};
 pub use metrics::{evaluate, Evaluation, PhaseTiming, PruneStats, StageMetrics};
 pub use params::Params;
-pub use refine::{decide_pair, PairContext, PairDecision};
+pub use refine::{decide_pair, refine_candidates, PairContext, PairDecision, RefineOutcome};
 pub use results::ResultSet;
 pub use state::{delta_between, EngineState, StateDelta};
 
@@ -86,7 +90,7 @@ pub trait ErProcessor {
     fn timing(&self) -> PhaseTiming;
 
     /// Execution-shape counters of a staged run ([`StageMetrics`]):
-    /// barrier rounds, fanned refines, overlapped arrivals. Purely
+    /// barrier rounds, fanned refines, pooled batches. Purely
     /// observational — results must not depend on them. Sequential
     /// engines and baselines keep the all-zero default.
     fn stage_metrics(&self) -> StageMetrics {

@@ -153,14 +153,13 @@ impl PhaseTiming {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StageMetrics {
     /// Synchronization rounds where the driving (merge) thread blocked on
-    /// worker responses. The lock-step drive pays two per arrival
-    /// (traverse, then fanned refine); the overlapped drive pays one.
+    /// worker responses: at most one per arrival plus one per batch, since
+    /// the pooled drive waits for arrival `i`'s refine and arrival `i+1`'s
+    /// traverse together.
     pub er_barriers: u64,
     /// Arrivals whose refine stage was fanned out to the worker pool
     /// (candidate set at or above the fan-out threshold, and non-empty).
     pub fanned_refines: u64,
-    /// Arrivals processed by the overlapped (software-pipelined) drive.
-    pub overlapped_arrivals: u64,
     /// Batches executed against an attached worker pool.
     pub pooled_batches: u64,
 }

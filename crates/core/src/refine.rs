@@ -12,11 +12,14 @@
 //!
 //! so the loop stops as soon as either bound decides the pair.
 
+use std::sync::Arc;
+
 use ter_text::KeywordSet;
 
 use crate::meta::TupleMeta;
 use crate::params::PruningMode;
 use crate::pruning;
+use crate::results::norm_pair;
 
 /// Outcome of refining one tuple pair.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -100,6 +103,49 @@ pub fn decide_pair(a: &TupleMeta, b: &TupleMeta, ctx: &PairContext<'_>) -> PairD
             }
         }
     }
+}
+
+/// The pair-decision tallies of one probe's examined candidates (or of a
+/// slice of them, when a batch-parallel engine fans the refine out).
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct RefineOutcome {
+    /// Pairs pruned by Theorem 4.2 (similarity upper bound).
+    pub sim: u64,
+    /// Pairs pruned by Theorem 4.3 (probability upper bound).
+    pub prob: u64,
+    /// Pairs rejected at the instance-pair level (Theorem 4.4).
+    pub instance: u64,
+    /// Matching pairs, already `(min, max)`-normalized.
+    pub matches: Vec<(u64, u64)>,
+}
+
+impl RefineOutcome {
+    /// Folds another slice's tallies into this one.
+    pub fn absorb(&mut self, other: RefineOutcome) {
+        self.sim += other.sim;
+        self.prob += other.prob;
+        self.instance += other.instance;
+        self.matches.extend(other.matches);
+    }
+}
+
+/// Runs the [`decide_pair`] cascade for `probe` over a candidate slice and
+/// tallies the decisions.
+pub fn refine_candidates(
+    probe: &TupleMeta,
+    cands: &[Arc<TupleMeta>],
+    ctx: &PairContext<'_>,
+) -> RefineOutcome {
+    let mut out = RefineOutcome::default();
+    for other in cands {
+        match decide_pair(probe, other, ctx) {
+            PairDecision::SimPruned => out.sim += 1,
+            PairDecision::ProbPruned => out.prob += 1,
+            PairDecision::InstancePruned => out.instance += 1,
+            PairDecision::Match => out.matches.push(norm_pair(probe.id, other.id)),
+        }
+    }
+    out
 }
 
 /// Exact probability (Equation 2), no early termination. Exposed for

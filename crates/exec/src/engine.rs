@@ -3,11 +3,12 @@
 //! [`ShardedTerIdsEngine`] processes arrivals in batches
 //! ([`ter_ids::ErProcessor::step_batch`]) and produces output
 //! **bit-identical** to the sequential [`ter_ids::TerIdsEngine`] for any
-//! shard count, thread count, batch size, and drive mode. The
-//! per-arrival pipeline is decomposed into the named stages of
-//! [`stages`](crate::stages) — **impute → traverse → refine → merge** —
-//! and executed by the persistent worker pool of
-//! [`pool`](crate::pool):
+//! shard count, thread count, and batch size. Both engines drive the same
+//! [`LiveState`] (window, metadata, `ES`, counts, statistics); this one
+//! differs only in its grid — `S` shard grids — and in running the
+//! per-arrival pipeline as the named stages of [`stages`](crate::stages)
+//! — **impute → traverse → refine → merge** — on the persistent worker
+//! pool of [`pool`](crate::pool):
 //!
 //! 1. **Impute** — rule selection, imputation, and [`TupleMeta`]
 //!    derivation read only the static [`TerContext`], so the whole batch
@@ -19,32 +20,26 @@
 //!    arrival's insert, this arrival's expiry) in arrival order before
 //!    traversing with the shared cell-level predicate, so every cell
 //!    sees exactly the op sequence the monolithic grid would.
-//! 3. **Refine** — the surfaced union is filtered and partitioned; each
-//!    worker routes its slice through the shared cascade
-//!    ([`ter_ids::decide_pair`]). Small candidate sets are refined on the
-//!    driving thread instead — a synchronization barrier is not worth a
-//!    handful of pairs (`refine_fanout_min`).
-//! 4. **Merge** — window maintenance, expiry, result-set and statistics
-//!    updates happen on the driving thread in arrival order (per-worker
-//!    tallies merged deterministically, matches ordered by
-//!    `(arrival_seq, norm_pair)`), so window semantics are unchanged.
+//! 3. **Refine** — the candidates are partitioned; each worker routes its
+//!    slice through the shared cascade ([`ter_ids::refine_candidates`]).
+//!    Small candidate sets are refined on the driving thread instead — a
+//!    synchronization barrier is not worth a handful of pairs
+//!    (`refine_fanout_min`).
+//! 4. **Merge** — expiry, candidate selection and arrival finalization
+//!    ([`LiveState`]) happen on the driving thread in arrival order, so
+//!    window semantics are unchanged.
 //!
-//! # Drive modes
+//! # The pooled drive
 //!
-//! The lock-step drive pays two barriers per arrival: the merge thread
-//! waits for every worker's traverse, computes the candidate set, fans
-//! the refine out, and waits again. The **overlapped** drive
-//! ([`ExecConfig::overlap`], the default) halves that: after imputation
-//! both arrival `i`'s refine *and* arrival `i+1`'s traverse inputs are
-//! known (the eviction schedule is a pure function of the window and the
-//! arrival order — [`stages::eviction_schedule`](crate::stages)), so the
-//! merge thread queues `Refine(i)` and `Step(i+1)` together and pays one
-//! combined wait. Workers answer in FIFO order, so the interleaving is
-//! deterministic; the op order seen by every grid cell and the merge
-//! order are *identical* to the lock-step drive, which is why the parity
-//! suites can require bit-equality across both modes. The saving is
-//! instrumented: [`StageMetrics::er_barriers`] counts the merge thread's
-//! wait rounds.
+//! After imputation both arrival `i`'s refine *and* arrival `i+1`'s
+//! traverse inputs are known (the eviction schedule is a pure function of
+//! the window and the arrival order —
+//! [`stages::eviction_schedule`](crate::stages)), so the driving thread
+//! queues `Refine(i)` and `Step(i+1)` together and waits once per
+//! arrival. Workers answer in FIFO order, so the interleaving is
+//! deterministic, and every grid cell sees the sequential engine's op
+//! order. [`StageMetrics::er_barriers`] counts the driving thread's wait
+//! rounds: at most one per arrival plus one per batch.
 //!
 //! # Pool sessions
 //!
@@ -57,25 +52,25 @@
 //! so the workers persist across batches and only the shard groups
 //! travel per batch.
 
+use std::ops::Deref;
 use std::sync::Arc;
 use std::time::Instant;
 
-use ter_ids::candidates;
 use ter_ids::meta::TupleMeta;
 use ter_ids::{
-    EngineState, ErProcessor, Params, PhaseTiming, PruneStats, PruningMode, ResultSet,
-    StageMetrics, StepOutput, TerContext,
+    refine_candidates, EngineState, ErProcessor, LiveState, Params, PhaseTiming, PruneStats,
+    PruningMode, ResultSet, StageMetrics, StepOutput, TerContext,
 };
 use ter_impute::RuleImputer;
 use ter_index::RegionGrid;
-use ter_stream::{Arrival, SlidingWindow};
+use ter_stream::Arrival;
 use ter_text::fxhash::{FxHashMap, FxHashSet};
 
-use crate::merge::{merge_outcomes, RefineOutcome};
+use crate::merge::RefineOutcome;
 use crate::pool::{pool_channels, worker_loop, Pool};
 use crate::router::ShardRouter;
 use crate::stages::{
-    apply_insert, eviction_schedule, impute_one, refine_slice, ShardGrid, WorkerCtx,
+    apply_evict, apply_insert, eviction_schedule, impute_one, traverse_shards, ShardGrid, WorkerCtx,
 };
 
 /// Parallel execution knobs.
@@ -88,15 +83,10 @@ pub struct ExecConfig {
     /// Worker threads `T` driving imputation, traversal, and refinement.
     /// Result-invariant; `1` runs the whole pipeline inline.
     pub threads: usize,
-    /// Overlap arrival `i`'s refine with arrival `i+1`'s traverse,
-    /// halving the merge thread's barrier count per arrival.
-    /// Result-invariant (enforced by the parity suites); ignored when
-    /// `threads == 1`.
-    pub overlap: bool,
     /// Candidate sets smaller than this are refined on the driving
     /// thread: the per-arrival fan-out barrier costs more than deciding
     /// a few pairs. Result-invariant — both paths run the same
-    /// [`decide_pair`](ter_ids::decide_pair) cascade.
+    /// [`refine_candidates`](ter_ids::refine_candidates) cascade.
     pub refine_fanout_min: usize,
 }
 
@@ -108,15 +98,13 @@ impl Default for ExecConfig {
         Self {
             shards: 8,
             threads,
-            overlap: true,
             refine_fanout_min: 16,
         }
     }
 }
 
 impl ExecConfig {
-    /// `shards`/`threads` with the default drive knobs (overlap on,
-    /// fan-out threshold 16).
+    /// `shards`/`threads` with the default fan-out threshold (16).
     pub fn new(shards: usize, threads: usize) -> Self {
         Self {
             shards,
@@ -124,14 +112,11 @@ impl ExecConfig {
             ..Self::default()
         }
     }
-
-    /// The same configuration with the overlapped drive toggled.
-    pub fn with_overlap(self, overlap: bool) -> Self {
-        Self { overlap, ..self }
-    }
 }
 
-/// The sharded, batch-parallel TER-iDS engine. See the [module docs](self).
+/// The sharded, batch-parallel TER-iDS engine: a [`LiveState`] plus `S`
+/// shard grids. See the [module docs](self). Dereferences to its
+/// [`LiveState`] for the read accessors (`window_len`, `meta`, …).
 pub struct ShardedTerIdsEngine<'a> {
     ctx: &'a TerContext,
     params: Params,
@@ -144,14 +129,7 @@ pub struct ShardedTerIdsEngine<'a> {
     /// `router.shard_of(key) == s`. Handed to the workers for the
     /// duration of a batch and reassembled afterwards.
     shards: Vec<ShardGrid>,
-    window: SlidingWindow<u64>,
-    metas: FxHashMap<u64, Arc<TupleMeta>>,
-    stream_counts: Vec<usize>,
-    topical_ids: FxHashSet<u64>,
-    results: ResultSet,
-    reported: FxHashSet<(u64, u64)>,
-    stats: PruneStats,
-    timing: PhaseTiming,
+    live: LiveState,
     metrics: StageMetrics,
     name: &'static str,
 }
@@ -174,14 +152,7 @@ impl<'a> ShardedTerIdsEngine<'a> {
             shards: (0..exec.shards)
                 .map(|_| RegionGrid::new(d, params.grid_cells))
                 .collect(),
-            window: SlidingWindow::new(params.window),
-            metas: FxHashMap::default(),
-            stream_counts: Vec::new(),
-            topical_ids: FxHashSet::default(),
-            results: ResultSet::new(),
-            reported: FxHashSet::default(),
-            stats: PruneStats::default(),
-            timing: PhaseTiming::default(),
+            live: LiveState::new(params.window),
             metrics: StageMetrics::default(),
             name: match mode {
                 PruningMode::Full => "TER-iDS(shard)",
@@ -205,31 +176,6 @@ impl<'a> ShardedTerIdsEngine<'a> {
         self.exec.threads
     }
 
-    /// Number of unexpired tuples.
-    pub fn window_len(&self) -> usize {
-        self.window.len()
-    }
-
-    /// Window capacity `w` (the service layer reports it alongside the
-    /// occupancy).
-    pub fn window_capacity(&self) -> usize {
-        self.params.window
-    }
-
-    /// Metadata (including the imputed probabilistic tuple) of a live
-    /// tuple.
-    pub fn meta(&self, id: u64) -> Option<&TupleMeta> {
-        self.metas.get(&id).map(Arc::as_ref)
-    }
-
-    /// Ids of the unexpired tuples, ascending (for differential tests
-    /// against the sequential engine).
-    pub fn live_ids(&self) -> Vec<u64> {
-        let mut ids: Vec<u64> = self.metas.keys().copied().collect();
-        ids.sort_unstable();
-        ids
-    }
-
     /// Cell-entry count per shard (diagnostics: shows how the router
     /// spreads grid load).
     pub fn shard_entry_counts(&self) -> Vec<usize> {
@@ -247,16 +193,6 @@ impl<'a> ShardedTerIdsEngine<'a> {
             .iter()
             .flat_map(|g| g.iter_cells().map(|(.., entries)| entries.len()))
             .collect()
-    }
-
-    /// Live tuple count per stream id.
-    pub fn stream_tuple_counts(&self) -> &[usize] {
-        &self.stream_counts
-    }
-
-    /// Number of live tuples currently flagged possibly-topical.
-    pub fn topical_count(&self) -> usize {
-        self.topical_ids.len()
     }
 
     /// Runs `f` against this engine with a **persistent** worker pool
@@ -320,40 +256,14 @@ impl<'a> ShardedTerIdsEngine<'a> {
         }
     }
 
-    /// Snapshots the engine's dynamic state. The representation is the
-    /// canonical engine-agnostic [`EngineState`]: shard grids are merged
-    /// back into one sorted logical cell list (the router partitions
-    /// cells, so the union is disjoint), and per-cell entry order is the
-    /// monolithic grid's by the sharding invariant — the exported state is
-    /// *equal* to the sequential engine's at the same stream position.
+    /// Snapshots the engine's dynamic state in the canonical
+    /// engine-agnostic [`EngineState`]: the shard grids merge into one
+    /// sorted logical cell list (the router partitions cells, so the union
+    /// is disjoint), and per-cell entry order is the monolithic grid's by
+    /// the sharding invariant — the exported state is *equal* to the
+    /// sequential engine's at the same stream position.
     pub fn export_state(&self) -> EngineState {
-        let window: Vec<(u64, u64)> = self.window.iter().map(|(t, id)| (t, *id)).collect();
-        let metas = window
-            .iter()
-            .map(|(_, id)| self.metas[id].as_ref().clone())
-            .collect();
-        let mut results: Vec<(u64, u64)> = self.results.iter().collect();
-        results.sort_unstable();
-        let mut reported: Vec<(u64, u64)> = self.reported.iter().copied().collect();
-        reported.sort_unstable();
-        let mut cells: Vec<(ter_index::CellKey, Vec<u64>)> = self
-            .shards
-            .iter()
-            .flat_map(|g| g.iter_cells())
-            .map(|(k, _, entries)| (k.clone(), entries.iter().map(|e| e.payload).collect()))
-            .collect();
-        cells.sort_by(|(a, _), (b, _)| a.cmp(b));
-        EngineState {
-            window_capacity: self.params.window,
-            grid_cells: self.params.grid_cells,
-            window,
-            metas,
-            stream_counts: self.stream_counts.clone(),
-            results,
-            reported,
-            stats: self.stats,
-            cells,
-        }
+        self.live.export(self.params.grid_cells, &self.shards)
     }
 
     /// Replaces the engine's dynamic state with a validated snapshot,
@@ -363,15 +273,7 @@ impl<'a> ShardedTerIdsEngine<'a> {
     /// versa. On `Err` the engine is left untouched.
     pub fn import_state(&mut self, state: &EngineState) -> Result<(), String> {
         let d = self.ctx.arity();
-        state.validate(d, self.params.window, self.params.grid_cells)?;
-        let mut metas: FxHashMap<u64, Arc<TupleMeta>> = FxHashMap::default();
-        let mut topical_ids: FxHashSet<u64> = FxHashSet::default();
-        for meta in &state.metas {
-            if meta.possibly_topical {
-                topical_ids.insert(meta.id);
-            }
-            metas.insert(meta.id, Arc::new(meta.clone()));
-        }
+        self.live.import(state, d, self.params.grid_cells)?;
         let mut shards: Vec<ShardGrid> = (0..self.exec.shards)
             .map(|_| RegionGrid::new(d, self.params.grid_cells))
             .collect();
@@ -382,149 +284,16 @@ impl<'a> ShardedTerIdsEngine<'a> {
                 shard.insert_at([key.clone()], &region, meta.id, agg.clone());
             }
         }
-        let mut window = SlidingWindow::new(self.params.window);
-        for &(ts, id) in &state.window {
-            window.push(ts, id);
-        }
-        let mut results = ResultSet::new();
-        for &(a, b) in &state.results {
-            results.insert(a, b);
-        }
         self.shards = shards;
-        self.window = window;
-        self.metas = metas;
-        self.stream_counts = state.stream_counts.clone();
-        self.topical_ids = topical_ids;
-        self.results = results;
-        self.reported = state.reported.iter().copied().collect();
-        self.stats = state.stats;
-        self.timing = PhaseTiming::default();
         Ok(())
     }
-
-    /// Removes the expired tuple from the merge-level maps. Returns its
-    /// metadata so the workers can evict it from their shards, plus the
-    /// live pairs the eviction dropped (normalized and sorted — the
-    /// step's retraction delta).
-    fn expire(&mut self, old_id: u64) -> (Option<Arc<TupleMeta>>, Vec<(u64, u64)>) {
-        let Some(meta) = self.metas.remove(&old_id) else {
-            return (None, Vec::new());
-        };
-        let removed = self.results.remove_involving(old_id);
-        self.stream_counts[meta.stream_id] -= 1;
-        self.topical_ids.remove(&old_id);
-        (Some(meta), removed)
-    }
-
-    /// The merge stage for one arrival: fold the refine outcome into the
-    /// statistics, attribute never-examined pairs, publish matches, and
-    /// register the new tuple. Strictly sequential, in arrival order —
-    /// shared verbatim by every drive mode, which is what keeps them
-    /// bit-identical.
-    fn finalize_arrival(
-        &mut self,
-        meta: &Arc<TupleMeta>,
-        examined: u64,
-        outcome: RefineOutcome,
-    ) -> Vec<(u64, u64)> {
-        self.stats.sim += outcome.sim;
-        self.stats.prob += outcome.prob;
-        self.stats.instance += outcome.instance;
-        self.stats.matches += outcome.matches.len() as u64;
-        candidates::account_pairs(
-            meta,
-            examined,
-            &self.stream_counts,
-            &self.topical_ids,
-            &self.metas,
-            &mut self.stats,
-        );
-        let new_matches = outcome.matches; // sorted by norm_pair
-        for &(a, b) in &new_matches {
-            self.results.insert(a, b);
-            self.reported.insert((a, b));
-        }
-        if self.stream_counts.len() <= meta.stream_id {
-            self.stream_counts.resize(meta.stream_id + 1, 0);
-        }
-        self.stream_counts[meta.stream_id] += 1;
-        if meta.possibly_topical {
-            self.topical_ids.insert(meta.id);
-        }
-        let prev = self.metas.insert(meta.id, Arc::clone(meta));
-        assert!(prev.is_none(), "duplicate tuple id {}", meta.id);
-        new_matches
-    }
 }
 
-/// How one batch executes the traverse/refine stages: inline on the
-/// driving thread (`threads == 1`) or against the session's worker pool.
-/// Both variants apply the same ops in the same order; the lock-step
-/// merge loop ([`drive_lockstep`]) is shared.
-enum BatchWorkers<'p, 'a> {
-    Inline {
-        shards: Vec<(usize, ShardGrid)>,
-        wctx: WorkerCtx<'a>,
-    },
-    Pool {
-        pool: &'p Pool,
-        wctx: WorkerCtx<'a>,
-    },
-}
+impl Deref for ShardedTerIdsEngine<'_> {
+    type Target = LiveState;
 
-impl BatchWorkers<'_, '_> {
-    /// Traverse stage for one arrival: grid maintenance + shard traversal.
-    fn step(
-        &mut self,
-        insert: Option<&Arc<TupleMeta>>,
-        evict: Option<&Arc<TupleMeta>>,
-        probe: &Arc<TupleMeta>,
-        metrics: &mut StageMetrics,
-    ) -> FxHashSet<u64> {
-        match self {
-            BatchWorkers::Inline { shards, wctx } => {
-                if let Some(meta) = insert {
-                    apply_insert(shards, wctx.router, meta);
-                }
-                if let Some(meta) = evict {
-                    crate::stages::apply_evict(shards, meta);
-                }
-                let mut surfaced = FxHashSet::default();
-                crate::stages::traverse_shards(shards, wctx, probe, &mut surfaced);
-                surfaced
-            }
-            BatchWorkers::Pool { pool, .. } => {
-                pool.send_step(insert, evict, probe);
-                metrics.er_barriers += 1;
-                pool.collect_surfaced()
-            }
-        }
-    }
-
-    /// Refine stage for one arrival: the pair-decision cascade over the
-    /// examined candidates, fanned out when it is worth a barrier.
-    fn refine(
-        &mut self,
-        probe: &Arc<TupleMeta>,
-        cands: &[Arc<TupleMeta>],
-        fanout_min: usize,
-        metrics: &mut StageMetrics,
-    ) -> RefineOutcome {
-        match self {
-            BatchWorkers::Inline { wctx, .. } => merge_outcomes([refine_slice(wctx, probe, cands)]),
-            BatchWorkers::Pool { pool, wctx } => {
-                if cands.len() < fanout_min {
-                    return merge_outcomes([refine_slice(wctx, probe, cands)]);
-                }
-                let sent = pool.send_refine(probe, cands);
-                if sent == 0 {
-                    return RefineOutcome::default();
-                }
-                metrics.er_barriers += 1;
-                metrics.fanned_refines += 1;
-                pool.collect_refined(sent)
-            }
-        }
+    fn deref(&self) -> &LiveState {
+        &self.live
     }
 }
 
@@ -561,82 +330,74 @@ fn lap(t0: Option<Instant>, acc: &mut u64) {
     }
 }
 
-/// The lock-step drive: per arrival, wait for the traverse, then wait for
-/// the fanned refine — two barriers. Shared by the inline path (where
-/// the "waits" are plain function calls and cost nothing).
-fn drive_lockstep<'a>(
-    eng: &mut ShardedTerIdsEngine<'a>,
+/// Closes one arrival's step: its imputation timing plus the ER time
+/// since `er_start` goes into the cumulative timing and the output.
+fn close_step(
+    live: &mut LiveState,
+    imp_timing: &PhaseTiming,
+    er_start: Instant,
+    new_matches: Vec<(u64, u64)>,
+    retractions: Vec<(u64, u64)>,
+    evicted: Option<Arc<TupleMeta>>,
+) -> StepOutput {
+    let mut timing = *imp_timing;
+    timing.er += er_start.elapsed();
+    live.record_timing(&timing);
+    StepOutput {
+        new_matches,
+        retractions,
+        expired: evicted.map(|m| m.id).into_iter().collect(),
+        timing,
+    }
+}
+
+/// The inline drive (`threads == 1`): every stage on the driving thread
+/// over the whole shard set, in the sequential engine's op order —
+/// expire, traverse, refine, insert, finalize.
+fn drive_inline(
+    eng: &mut ShardedTerIdsEngine<'_>,
     batch: &[Arrival],
     per_arrival: &[(Arc<TupleMeta>, PhaseTiming)],
-    workers: &mut BatchWorkers<'_, 'a>,
-) -> (Vec<StepOutput>, Option<Arc<TupleMeta>>) {
-    let mut outputs = Vec::with_capacity(batch.len());
+) -> Vec<StepOutput> {
+    let wctx = eng.worker_ctx();
+    let mut shards: Vec<(usize, ShardGrid)> = eng.shards.drain(..).enumerate().collect();
     let (mut traverse_us, mut refine_us, mut merge_us) = (0u64, 0u64, 0u64);
-    // The previous arrival's tuple; inserted into the grid by the
-    // workers at the start of the *next* step, preserving the
-    // sequential op order insert(i) → evict(i+1) → traverse(i+1).
-    let mut pending_insert: Option<Arc<TupleMeta>> = None;
+    let mut outputs = Vec::with_capacity(batch.len());
     for (arrival, (meta, imp_timing)) in batch.iter().zip(per_arrival) {
         let er_start = Instant::now();
-
-        // ---- expiry (merge phase: window semantics unchanged) ----
         let mut t0 = ter_obs::timer();
-        let mut retractions = Vec::new();
-        let mut expired = Vec::new();
-        let evicted = eng
-            .window
-            .push(arrival.timestamp, arrival.record.id)
-            .and_then(|(_, old_id)| {
-                expired.push(old_id);
-                let (meta, removed) = eng.expire(old_id);
-                retractions = removed;
-                meta
-            });
+        let (evicted, retractions) = eng.live.push(arrival.timestamp, arrival.record.id);
         lap(t0, &mut merge_us);
 
-        // ---- traverse ----
         t0 = ter_obs::timer();
-        let surfaced = workers.step(
-            pending_insert.as_ref(),
-            evicted.as_ref(),
-            meta,
-            &mut eng.metrics,
-        );
+        if let Some(old) = &evicted {
+            apply_evict(&mut shards, old);
+        }
+        let mut surfaced = FxHashSet::default();
+        traverse_shards(&shards, &wctx, meta, &mut surfaced);
         lap(t0, &mut traverse_us);
 
-        // ---- candidate selection (shared with the sequential engine:
-        // Theorem 4.1 inverted list, ascending-id order so the slice
-        // partition across workers is deterministic) ----
         t0 = ter_obs::timer();
-        let cands: Vec<Arc<TupleMeta>> =
-            candidates::examined_candidates(meta, &surfaced, &eng.topical_ids, &eng.metas)
-                .into_iter()
-                .map(Arc::clone)
-                .collect();
-        let examined = cands.len() as u64;
-
-        // ---- refine ----
-        let outcome = workers.refine(meta, &cands, eng.exec.refine_fanout_min, &mut eng.metrics);
+        let cands = eng.live.candidates(meta, &surfaced);
+        let outcome = refine_candidates(meta, &cands, &wctx.pair);
         lap(t0, &mut refine_us);
 
-        // ---- merge ----
         t0 = ter_obs::timer();
-        let new_matches = eng.finalize_arrival(meta, examined, outcome);
+        apply_insert(&mut shards, wctx.router, meta);
+        let new_matches = eng.live.finalize(Arc::clone(meta), outcome);
         lap(t0, &mut merge_us);
-        pending_insert = Some(Arc::clone(meta));
-
-        let mut step_timing = *imp_timing;
-        step_timing.er += er_start.elapsed();
-        eng.timing.accumulate(&step_timing);
-        outputs.push(StepOutput {
+        outputs.push(close_step(
+            &mut eng.live,
+            imp_timing,
+            er_start,
             new_matches,
             retractions,
-            expired,
-            timing: step_timing,
-        });
+            evicted,
+        ));
     }
+    eng.shards = shards.into_iter().map(|(_, g)| g).collect();
     record_stage_batch(traverse_us, refine_us, merge_us, None);
-    (outputs, pending_insert)
+    outputs
 }
 
 /// Resolves a scheduled eviction to its metadata: an in-batch arrival
@@ -645,29 +406,29 @@ fn scheduled_evict_meta(
     scheduled: Option<u64>,
     idx_of: &FxHashMap<u64, usize>,
     per_arrival: &[(Arc<TupleMeta>, PhaseTiming)],
-    metas: &FxHashMap<u64, Arc<TupleMeta>>,
+    live: &LiveState,
 ) -> Option<Arc<TupleMeta>> {
     scheduled.map(|id| match idx_of.get(&id) {
         Some(&k) => Arc::clone(&per_arrival[k].0),
-        None => Arc::clone(metas.get(&id).expect("scheduled eviction of unknown tuple")),
+        None => Arc::clone(live.meta(id).expect("scheduled eviction of unknown tuple")),
     })
 }
 
-/// The overlapped drive: one combined barrier per arrival. Arrival
-/// `i+1`'s traverse (insert `i`, evict per the precomputed schedule,
-/// probe `i+1`) is queued right after arrival `i`'s refine, so the
-/// workers flow from refining `i` straight into traversing `i+1` while
-/// the merge thread finalizes `i`. Grid op order and merge order are
-/// identical to the lock-step drive — only the waiting changes.
+/// The pooled drive: one combined barrier per arrival. Arrival `i+1`'s
+/// traverse (insert `i`, evict per the precomputed schedule, probe
+/// `i+1`) is queued right after arrival `i`'s refine, so the workers flow
+/// from refining `i` straight into traversing `i+1` while the driving
+/// thread finalizes `i`. The grid op order and the merge order are the
+/// sequential engine's — only the waiting overlaps.
 fn drive_overlapped<'a>(
     eng: &mut ShardedTerIdsEngine<'a>,
     pool: &Pool,
     wctx: WorkerCtx<'a>,
     batch: &[Arrival],
     per_arrival: &[(Arc<TupleMeta>, PhaseTiming)],
-) -> (Vec<StepOutput>, Option<Arc<TupleMeta>>) {
+) -> Vec<StepOutput> {
     let n = batch.len();
-    let sched = eviction_schedule(&eng.window, batch);
+    let sched = eviction_schedule(eng.live.window(), batch);
     let idx_of: FxHashMap<u64, usize> = batch
         .iter()
         .enumerate()
@@ -676,7 +437,7 @@ fn drive_overlapped<'a>(
 
     // Prologue: arrival 0's traverse has no pending insert (the previous
     // batch's final insert was applied at its `End`).
-    let ev0 = scheduled_evict_meta(sched[0], &idx_of, per_arrival, &eng.metas);
+    let ev0 = scheduled_evict_meta(sched[0], &idx_of, per_arrival, &eng.live);
     pool.send_step(None, ev0.as_ref(), &per_arrival[0].0);
     eng.metrics.er_barriers += 1;
     let (mut traverse_us, mut refine_us, mut merge_us, mut barrier_us) = (0u64, 0u64, 0u64, 0u64);
@@ -692,17 +453,7 @@ fn drive_overlapped<'a>(
 
         // ---- expiry (the real push; the schedule must agree) ----
         t0 = ter_obs::timer();
-        let mut retractions = Vec::new();
-        let mut expired = Vec::new();
-        let evicted = eng
-            .window
-            .push(batch[i].timestamp, batch[i].record.id)
-            .and_then(|(_, old_id)| {
-                expired.push(old_id);
-                let (meta, removed) = eng.expire(old_id);
-                retractions = removed;
-                meta
-            });
+        let (evicted, retractions) = eng.live.push(batch[i].timestamp, batch[i].record.id);
         debug_assert_eq!(
             evicted.as_ref().map(|m| m.id),
             sched[i],
@@ -712,12 +463,7 @@ fn drive_overlapped<'a>(
 
         // ---- candidate selection ----
         t0 = ter_obs::timer();
-        let cands: Vec<Arc<TupleMeta>> =
-            candidates::examined_candidates(meta, &surfaced, &eng.topical_ids, &eng.metas)
-                .into_iter()
-                .map(Arc::clone)
-                .collect();
-        let examined = cands.len() as u64;
+        let cands = eng.live.candidates(meta, &surfaced);
 
         // ---- queue refine(i), then traverse(i+1), then wait once ----
         let fan_sent = if cands.len() >= eng.exec.refine_fanout_min {
@@ -726,13 +472,13 @@ fn drive_overlapped<'a>(
             0
         };
         if i + 1 < n {
-            let ev = scheduled_evict_meta(sched[i + 1], &idx_of, per_arrival, &eng.metas);
+            let ev = scheduled_evict_meta(sched[i + 1], &idx_of, per_arrival, &eng.live);
             pool.send_step(Some(meta), ev.as_ref(), &per_arrival[i + 1].0);
         }
         // A small candidate set refines here, on the driving thread,
         // overlapping the workers' traverse of i+1.
         let mut outcome = if fan_sent == 0 {
-            merge_outcomes([refine_slice(&wctx, meta, &cands)])
+            refine_candidates(meta, &cands, &wctx.pair)
         } else {
             eng.metrics.fanned_refines += 1;
             RefineOutcome::default()
@@ -758,21 +504,19 @@ fn drive_overlapped<'a>(
 
         // ---- merge ----
         t0 = ter_obs::timer();
-        let new_matches = eng.finalize_arrival(meta, examined, outcome);
+        let new_matches = eng.live.finalize(Arc::clone(meta), outcome);
         lap(t0, &mut merge_us);
-        let mut step_timing = *imp_timing;
-        step_timing.er += er_start.elapsed();
-        eng.timing.accumulate(&step_timing);
-        outputs.push(StepOutput {
+        outputs.push(close_step(
+            &mut eng.live,
+            imp_timing,
+            er_start,
             new_matches,
             retractions,
-            expired,
-            timing: step_timing,
-        });
+            evicted,
+        ));
     }
-    eng.metrics.overlapped_arrivals += n as u64;
     record_stage_batch(traverse_us, refine_us, merge_us, Some(barrier_us));
-    (outputs, Some(Arc::clone(&per_arrival[n - 1].0)))
+    outputs
 }
 
 /// An engine with a live pool session attached (see
@@ -820,57 +564,30 @@ impl<'a> PooledEngine<'_, 'a> {
         // a no-op.
         let self_rooted = ter_obs::trace::root_if_unattached(ter_obs::OBS.engine_batches.get());
         let eng = &mut *self.eng;
-        let wctx = eng.worker_ctx();
+
+        // ---- impute stage ----
+        let t0 = ter_obs::timer();
+        let per_arrival: Vec<(Arc<TupleMeta>, PhaseTiming)> = match &self.pool {
+            Some(pool) if batch.len() > 1 => pool.impute_batch(batch),
+            _ => batch
+                .iter()
+                .map(|a| impute_one(&eng.imputer, eng.ctx, a))
+                .collect(),
+        };
+        let impute_us = ter_obs::OBS.engine_impute_micros.observe_since(t0);
+        ter_obs::flight(
+            ter_obs::kind::IMPUTE,
+            ter_obs::OBS.engine_batches.get(),
+            batch.len() as u64,
+            0,
+            impute_us,
+        );
+        ter_obs::trace::add_current_elapsed(ter_obs::trace::kind::IMPUTE, impute_us);
+
         let outputs = match &self.pool {
-            None => {
-                // Inline fast path: same ops, same order, no pool.
-                let t0 = ter_obs::timer();
-                let per_arrival: Vec<(Arc<TupleMeta>, PhaseTiming)> = batch
-                    .iter()
-                    .map(|a| impute_one(&eng.imputer, eng.ctx, a))
-                    .collect();
-                let impute_us = ter_obs::OBS.engine_impute_micros.observe_since(t0);
-                ter_obs::flight(
-                    ter_obs::kind::IMPUTE,
-                    ter_obs::OBS.engine_batches.get(),
-                    batch.len() as u64,
-                    0,
-                    impute_us,
-                );
-                ter_obs::trace::add_current_elapsed(ter_obs::trace::kind::IMPUTE, impute_us);
-                let owned: Vec<(usize, ShardGrid)> = eng.shards.drain(..).enumerate().collect();
-                let mut workers = BatchWorkers::Inline {
-                    shards: owned,
-                    wctx,
-                };
-                let (outputs, pending) = drive_lockstep(eng, batch, &per_arrival, &mut workers);
-                let BatchWorkers::Inline { mut shards, .. } = workers else {
-                    unreachable!()
-                };
-                if let Some(meta) = pending {
-                    apply_insert(&mut shards, eng.router, &meta);
-                }
-                eng.shards = shards.into_iter().map(|(_, g)| g).collect();
-                outputs
-            }
+            None => drive_inline(eng, batch, &per_arrival),
             Some(pool) => {
                 eng.metrics.pooled_batches += 1;
-                // ---- impute stage ----
-                let t0 = ter_obs::timer();
-                let per_arrival = if batch.len() == 1 {
-                    vec![impute_one(&eng.imputer, eng.ctx, &batch[0])]
-                } else {
-                    pool.impute_batch(batch)
-                };
-                let impute_us = ter_obs::OBS.engine_impute_micros.observe_since(t0);
-                ter_obs::flight(
-                    ter_obs::kind::IMPUTE,
-                    ter_obs::OBS.engine_batches.get(),
-                    batch.len() as u64,
-                    0,
-                    impute_us,
-                );
-                ter_obs::trace::add_current_elapsed(ter_obs::trace::kind::IMPUTE, impute_us);
                 // Workers own disjoint shard groups for the whole batch
                 // (shard s → worker s mod T), so each cell's op sequence
                 // is applied by exactly one worker, in arrival order —
@@ -883,13 +600,10 @@ impl<'a> PooledEngine<'_, 'a> {
                     groups[sid % threads].push((sid, grid));
                 }
                 pool.begin(groups);
-                let (outputs, pending) = if eng.exec.overlap {
-                    drive_overlapped(eng, pool, wctx, batch, &per_arrival)
-                } else {
-                    let mut workers = BatchWorkers::Pool { pool, wctx };
-                    drive_lockstep(eng, batch, &per_arrival, &mut workers)
-                };
-                eng.shards = pool.finish(pending, shard_count);
+                let wctx = eng.worker_ctx();
+                let outputs = drive_overlapped(eng, pool, wctx, batch, &per_arrival);
+                let last = per_arrival.last().map(|(m, _)| Arc::clone(m));
+                eng.shards = pool.finish(last, shard_count);
                 outputs
             }
         };
@@ -925,19 +639,19 @@ impl ErProcessor for PooledEngine<'_, '_> {
     }
 
     fn results(&self) -> &ResultSet {
-        &self.eng.results
+        self.eng.live.results()
     }
 
     fn reported(&self) -> &FxHashSet<(u64, u64)> {
-        &self.eng.reported
+        self.eng.live.reported()
     }
 
     fn prune_stats(&self) -> PruneStats {
-        self.eng.stats
+        self.eng.live.prune_stats()
     }
 
     fn timing(&self) -> PhaseTiming {
-        self.eng.timing
+        self.eng.live.timing()
     }
 
     fn stage_metrics(&self) -> StageMetrics {
@@ -967,19 +681,19 @@ impl ErProcessor for ShardedTerIdsEngine<'_> {
     }
 
     fn results(&self) -> &ResultSet {
-        &self.results
+        self.live.results()
     }
 
     fn reported(&self) -> &FxHashSet<(u64, u64)> {
-        &self.reported
+        self.live.reported()
     }
 
     fn prune_stats(&self) -> PruneStats {
-        self.stats
+        self.live.prune_stats()
     }
 
     fn timing(&self) -> PhaseTiming {
-        self.timing
+        self.live.timing()
     }
 
     fn stage_metrics(&self) -> StageMetrics {
@@ -1087,15 +801,30 @@ mod tests {
         }
         for batch in 1..=5 {
             for threads in [1usize, 2] {
-                for overlap in [false, true] {
-                    let exec = ExecConfig::new(3, threads).with_overlap(overlap);
+                for pooled_session in [false, true] {
+                    let exec = ExecConfig::new(3, threads);
                     let mut par =
                         ShardedTerIdsEngine::new(&ctx, Params::default(), PruningMode::Full, exec);
-                    let mut par_steps = Vec::new();
-                    for chunk in streams.arrival_batches(batch) {
-                        par_steps.extend(par.step_batch(&chunk).into_iter().map(|o| o.new_matches));
-                    }
-                    let tag = format!("batch {batch}, threads {threads}, overlap {overlap}");
+                    let par_steps: Vec<Vec<(u64, u64)>> = if pooled_session {
+                        par.with_pool(|pe| {
+                            streams
+                                .arrival_batches(batch)
+                                .iter()
+                                .flat_map(|chunk| pe.step_batch(chunk))
+                                .map(|o| o.new_matches)
+                                .collect()
+                        })
+                    } else {
+                        streams
+                            .arrival_batches(batch)
+                            .iter()
+                            .flat_map(|chunk| par.step_batch(chunk))
+                            .map(|o| o.new_matches)
+                            .collect()
+                    };
+                    let tag = format!(
+                        "batch {batch}, threads {threads}, pooled session {pooled_session}"
+                    );
                     assert_eq!(par_steps, seq_steps, "{tag}");
                     assert_eq!(par.prune_stats(), seq.prune_stats(), "{tag}");
                     assert_eq!(par.live_ids(), seq.live_ids(), "{tag}");
@@ -1139,60 +868,31 @@ mod tests {
         assert_eq!(pooled.prune_stats(), transient.prune_stats());
         assert_eq!(pooled.export_state(), transient.export_state());
         assert_eq!(pooled.stage_metrics().pooled_batches, 2);
-        assert!(pooled.stage_metrics().overlapped_arrivals >= 4);
     }
 
-    /// The instrumented barrier claim: with every refine forced onto the
-    /// pool, the lock-step drive pays exactly two barriers per arrival
-    /// (traverse + refine), the overlapped drive at most one plus one
+    /// The instrumented barrier bound: with every refine forced onto the
+    /// pool, the pooled drive waits at most once per arrival plus one
     /// prologue per batch.
     #[test]
-    fn overlap_halves_the_barrier_count() {
+    fn pooled_drive_pays_one_barrier_per_arrival() {
         let (ctx, streams) = scenario();
         let arrivals = streams.arrivals();
-        let base = ExecConfig {
+        let exec = ExecConfig {
             shards: 4,
             threads: 2,
-            overlap: false,
             refine_fanout_min: 0, // always fan out (when candidates exist)
         };
-
-        let mut lockstep =
-            ShardedTerIdsEngine::new(&ctx, Params::default(), PruningMode::Full, base);
-        lockstep.step_batch(&arrivals);
-        let lm = lockstep.stage_metrics();
-        assert_eq!(
-            lm.er_barriers,
-            arrivals.len() as u64 + lm.fanned_refines,
-            "lock-step: one traverse barrier per arrival + one per fanned refine"
-        );
-        assert!(lm.fanned_refines > 0, "scenario exercises fanned refines");
-        assert_eq!(lm.overlapped_arrivals, 0);
-
-        let mut overlapped = ShardedTerIdsEngine::new(
-            &ctx,
-            Params::default(),
-            PruningMode::Full,
-            base.with_overlap(true),
-        );
-        overlapped.step_batch(&arrivals);
-        let om = overlapped.stage_metrics();
-        let batches = 1;
+        let mut e = ShardedTerIdsEngine::new(&ctx, Params::default(), PruningMode::Full, exec);
+        e.step_batch(&arrivals);
+        let m = e.stage_metrics();
+        let (n, batches) = (arrivals.len() as u64, 1);
+        assert!(m.fanned_refines > 0, "scenario exercises fanned refines");
         assert!(
-            om.er_barriers <= arrivals.len() as u64 + batches,
-            "overlapped: at most one barrier per arrival plus one prologue per batch \
-             (got {} for {} arrivals)",
-            om.er_barriers,
-            arrivals.len()
+            m.er_barriers <= n + batches,
+            "at most one barrier per arrival plus one prologue per batch \
+             (got {} for {n} arrivals)",
+            m.er_barriers
         );
-        assert!(
-            om.er_barriers < lm.er_barriers,
-            "overlap must reduce barriers"
-        );
-        assert_eq!(om.overlapped_arrivals, arrivals.len() as u64);
-
-        // And the outputs are still bit-identical.
-        assert_eq!(overlapped.export_state(), lockstep.export_state());
     }
 
     #[test]
@@ -1214,8 +914,9 @@ mod tests {
     }
 
     /// A window smaller than the batch forces in-batch arrivals to expire
-    /// before the batch ends — the eviction schedule must resolve their
-    /// metadata from the batch itself, in both drive modes.
+    /// before the batch ends — the pooled drive's eviction schedule must
+    /// resolve their metadata from the batch itself, and the inline drive
+    /// must agree.
     #[test]
     fn in_batch_expiry_is_bit_identical_across_drives() {
         let (ctx, streams) = scenario();
@@ -1228,11 +929,11 @@ mod tests {
         for a in &arrivals {
             seq.process(a);
         }
-        for overlap in [false, true] {
-            let exec = ExecConfig::new(3, 2).with_overlap(overlap);
+        for threads in [1, 2] {
+            let exec = ExecConfig::new(3, threads);
             let mut par = ShardedTerIdsEngine::new(&ctx, params, PruningMode::Full, exec);
             par.step_batch(&arrivals);
-            assert_eq!(par.export_state(), seq.export_state(), "overlap {overlap}");
+            assert_eq!(par.export_state(), seq.export_state(), "threads {threads}");
         }
     }
 

@@ -9,6 +9,8 @@
 
 use ter_text::fxhash::FxHashSet;
 
+pub use ter_ids::RefineOutcome;
+
 /// Union of per-shard surfaced candidate ids. A region spanning cells in
 /// several shards surfaces once per shard; the union deduplicates exactly
 /// like the sequential engine's surfaced set.
@@ -18,29 +20,6 @@ pub fn merge_surfaced(per_shard: &[Vec<u64>]) -> FxHashSet<u64> {
         out.extend(part.iter().copied());
     }
     out
-}
-
-/// One worker's pair-decision tallies over its candidate slice.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct RefineOutcome {
-    /// Pairs pruned by Theorem 4.2 (similarity upper bound).
-    pub sim: u64,
-    /// Pairs pruned by Theorem 4.3 (probability upper bound).
-    pub prob: u64,
-    /// Pairs rejected at the instance-pair level (Theorem 4.4).
-    pub instance: u64,
-    /// Matching pairs, already `(min, max)`-normalized.
-    pub matches: Vec<(u64, u64)>,
-}
-
-impl RefineOutcome {
-    /// Folds another worker's tallies into this one.
-    pub fn absorb(&mut self, other: RefineOutcome) {
-        self.sim += other.sim;
-        self.prob += other.prob;
-        self.instance += other.instance;
-        self.matches.extend(other.matches);
-    }
 }
 
 /// Merges per-worker outcomes into one arrival-level outcome. Counters

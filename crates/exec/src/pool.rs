@@ -1,8 +1,8 @@
 //! The persistent ER worker pool.
 //!
-//! PR 2 spawned a fresh set of `std::thread` workers for every batch —
-//! correct, but the spawn/join cost and the cold per-batch channels sat
-//! on the ingest hot path. This module keeps the workers alive for a
+//! Spawning a fresh set of `std::thread` workers for every batch is
+//! correct, but puts the spawn/join cost and cold per-batch channels on
+//! the ingest hot path. This module keeps the workers alive for a
 //! whole *session* ([`ShardedTerIdsEngine::with_pool`](crate::engine::ShardedTerIdsEngine::with_pool)):
 //! threads spawn once, own their CDD-indexed imputer for the session, and
 //! receive work over long-lived channels. Between batches the shard
@@ -25,22 +25,20 @@
 //! channel, so the driving thread can pipeline: after queueing
 //! `Refine(i)` and `Step(i+1)` it knows the `Refined` reply precedes the
 //! `Surfaced` reply on every worker it sent both to. That FIFO guarantee
-//! is what the overlapped drive's single-barrier-per-arrival schedule
-//! rests on.
+//! is what the pooled drive's single-barrier-per-arrival schedule rests
+//! on.
 
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
 
 use ter_ids::meta::TupleMeta;
-use ter_ids::{PhaseTiming, TerContext};
+use ter_ids::{refine_candidates, PhaseTiming, TerContext};
 use ter_impute::RuleImputer;
 use ter_stream::Arrival;
 use ter_text::fxhash::FxHashSet;
 
 use crate::merge::{merge_outcomes, merge_surfaced, RefineOutcome};
-use crate::stages::{
-    apply_evict, apply_insert, impute_one, refine_slice, traverse_shards, ShardGrid, WorkerCtx,
-};
+use crate::stages::{apply_evict, apply_insert, impute_one, traverse_shards, ShardGrid, WorkerCtx};
 
 /// One instruction to an ER worker.
 pub(crate) enum Req {
@@ -121,7 +119,7 @@ pub(crate) fn worker_loop<'a>(
                 let _ = resp_tx.send(Resp::Surfaced(surfaced.into_iter().collect()));
             }
             Req::Refine { probe, cands } => {
-                let _ = resp_tx.send(Resp::Refined(refine_slice(&wctx, &probe, &cands)));
+                let _ = resp_tx.send(Resp::Refined(refine_candidates(&probe, &cands, &wctx.pair)));
             }
             Req::End { insert } => {
                 if let Some(meta) = insert {

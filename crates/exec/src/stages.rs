@@ -10,32 +10,30 @@
 //! * [`apply_insert`] / [`apply_evict`] / [`traverse_shards`] — the
 //!   traverse stage: grid maintenance in arrival order followed by
 //!   cell-level pruning over a worker's shard group.
-//! * [`refine_slice`] — the refine stage: the Theorem 4.1–4.4
-//!   pair-decision cascade over a candidate slice.
+//! * the refine stage is [`ter_ids::refine_candidates`], the shared
+//!   Theorem 4.2–4.4 pair-decision cascade over a candidate slice.
 //! * [`eviction_schedule`] — the merge stage's look-ahead: which tuple
 //!   each arrival of a batch will expire, a pure function of the window
 //!   contents and the arrival order. Knowing the schedule up front is
-//!   what allows the overlapped drive to hand arrival `i+1`'s traverse to
+//!   what allows the pooled drive to hand arrival `i+1`'s traverse to
 //!   the workers while arrival `i` is still refining.
 //!
-//! The merge stage itself (window/expiry bookkeeping, statistics,
-//! result-set maintenance) stays sequential on the driving thread — see
-//! `ShardedTerIdsEngine::finalize_arrival` — so window semantics are
-//! exactly the sequential engine's.
+//! The merge stage itself (expiry, candidate selection, statistics,
+//! result-set maintenance) is the shared [`ter_ids::LiveState`], run on
+//! the driving thread in arrival order, so window semantics are exactly
+//! the sequential engine's.
 
 use std::sync::Arc;
 use std::time::Instant;
 
 use ter_ids::meta::TupleMeta;
 use ter_ids::pruning::cell_survives;
-use ter_ids::results::norm_pair;
-use ter_ids::{decide_pair, ErAggregate, PairContext, PairDecision, PhaseTiming, TerContext};
+use ter_ids::{ErAggregate, PairContext, PhaseTiming, TerContext};
 use ter_impute::RuleImputer;
 use ter_index::RegionGrid;
 use ter_stream::{Arrival, ProbTuple, SlidingWindow};
 use ter_text::fxhash::FxHashSet;
 
-use crate::merge::RefineOutcome;
 use crate::router::ShardRouter;
 
 /// One shard of the partitioned ER-grid.
@@ -141,28 +139,10 @@ pub(crate) fn traverse_shards(
     }
 }
 
-/// Runs the pair-decision cascade over a candidate slice.
-pub(crate) fn refine_slice(
-    ctx: &WorkerCtx<'_>,
-    probe: &TupleMeta,
-    cands: &[Arc<TupleMeta>],
-) -> RefineOutcome {
-    let mut out = RefineOutcome::default();
-    for other in cands {
-        match decide_pair(probe, other, &ctx.pair) {
-            PairDecision::SimPruned => out.sim += 1,
-            PairDecision::ProbPruned => out.prob += 1,
-            PairDecision::InstancePruned => out.instance += 1,
-            PairDecision::Match => out.matches.push(norm_pair(probe.id, other.id)),
-        }
-    }
-    out
-}
-
 /// The batch's eviction look-ahead: which tuple id (if any) each arrival
 /// will expire when pushed. A pure function of the current window and the
 /// arrival order — simulated on a clone, the real window is untouched.
-/// The overlapped drive uses entry `i+1` to dispatch arrival `i+1`'s
+/// The pooled drive uses entry `i+1` to dispatch arrival `i+1`'s
 /// grid maintenance before arrival `i` has merged; the merge loop then
 /// asserts the real eviction agrees.
 pub(crate) fn eviction_schedule(

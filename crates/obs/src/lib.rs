@@ -548,7 +548,7 @@ macro_rules! registry {
 }
 
 registry! {
-    /// Batches stepped by the sharded engine (any drive mode).
+    /// Batches stepped by the sharded engine (inline or pooled).
     engine_batches: Counter = "ter_engine_batches_total",
     /// Impute-stage wall time per batch.
     engine_impute_micros: Histogram = "ter_engine_impute_micros",
@@ -558,7 +558,7 @@ registry! {
     engine_refine_micros: Histogram = "ter_engine_refine_micros",
     /// Merge-stage wall time per batch (sequential finalize loop).
     engine_merge_micros: Histogram = "ter_engine_merge_micros",
-    /// Merge-thread barrier waits per batch (overlapped drive).
+    /// Merge-thread barrier waits per batch (pooled drive).
     engine_barrier_wait_micros: Histogram = "ter_engine_barrier_wait_micros",
     /// Jobs sitting in the daemon's bounded ordered queue.
     engine_queue_depth: Gauge = "ter_engine_queue_depth",

@@ -12,73 +12,64 @@
 
 use crate::pattern::{Atom, Pattern, Pred, VarId};
 use crate::plan::{plan, PlanStats};
-use ter_ids::{ErProcessor, ResultSet, TupleMeta};
+use ter_ids::{LiveState, ResultSet, TupleMeta};
 
-/// Read access to the live engine state a query runs against. Both the
-/// sequential and the sharded engine implement this, which is what lets
-/// every differential suite run the same pattern against both sides.
+/// Read access to the live engine state a query runs against: the
+/// engine's shared [`LiveState`] plus its grid's per-cell entry counts.
+/// Both the sequential and the sharded engine implement this, which is
+/// what lets every differential suite run the same pattern against both
+/// sides.
 pub trait QueryView {
+    /// The engine's live-window state.
+    fn live(&self) -> &LiveState;
+    /// Entry counts of every occupied ER-grid cell.
+    fn cell_entry_counts(&self) -> Vec<usize>;
+
     /// Ids of the unexpired tuples, ascending.
-    fn live_ids(&self) -> Vec<u64>;
+    fn live_ids(&self) -> Vec<u64> {
+        self.live().live_ids()
+    }
     /// Metadata of a live tuple (`None` once expired).
-    fn meta_of(&self, id: u64) -> Option<&TupleMeta>;
+    fn meta_of(&self, id: u64) -> Option<&TupleMeta> {
+        self.live().meta(id).map(|m| &**m)
+    }
     /// The live result-pair set.
-    fn result_set(&self) -> &ResultSet;
+    fn result_set(&self) -> &ResultSet {
+        self.live().results()
+    }
     /// Planner counters snapshot.
-    fn plan_stats(&self) -> PlanStats;
+    fn plan_stats(&self) -> PlanStats {
+        let live = self.live();
+        let cells = self.cell_entry_counts();
+        PlanStats {
+            live: live.window_len(),
+            pairs: live.results().len(),
+            stream_counts: live.stream_tuple_counts().to_vec(),
+            topical: live.topical_count(),
+            occupied_cells: cells.len(),
+            max_cell_entries: cells.iter().copied().max().unwrap_or(0),
+            prune: live.prune_stats(),
+        }
+    }
 }
 
 impl QueryView for ter_ids::TerIdsEngine<'_> {
-    fn live_ids(&self) -> Vec<u64> {
-        self.live_ids()
+    fn live(&self) -> &LiveState {
+        self
     }
 
-    fn meta_of(&self, id: u64) -> Option<&TupleMeta> {
-        self.meta(id)
-    }
-
-    fn result_set(&self) -> &ResultSet {
-        self.results()
-    }
-
-    fn plan_stats(&self) -> PlanStats {
-        let cells = self.cell_entry_counts();
-        PlanStats {
-            live: self.window_len(),
-            pairs: self.results().len(),
-            stream_counts: self.stream_tuple_counts().to_vec(),
-            topical: self.topical_count(),
-            occupied_cells: cells.len(),
-            max_cell_entries: cells.iter().copied().max().unwrap_or(0),
-            prune: self.prune_stats(),
-        }
+    fn cell_entry_counts(&self) -> Vec<usize> {
+        self.cell_entry_counts()
     }
 }
 
 impl QueryView for ter_exec::ShardedTerIdsEngine<'_> {
-    fn live_ids(&self) -> Vec<u64> {
-        self.live_ids()
+    fn live(&self) -> &LiveState {
+        self
     }
 
-    fn meta_of(&self, id: u64) -> Option<&TupleMeta> {
-        self.meta(id)
-    }
-
-    fn result_set(&self) -> &ResultSet {
-        self.results()
-    }
-
-    fn plan_stats(&self) -> PlanStats {
-        let cells = self.cell_entry_counts();
-        PlanStats {
-            live: self.window_len(),
-            pairs: self.results().len(),
-            stream_counts: self.stream_tuple_counts().to_vec(),
-            topical: self.topical_count(),
-            occupied_cells: cells.len(),
-            max_cell_entries: cells.iter().copied().max().unwrap_or(0),
-            prune: self.prune_stats(),
-        }
+    fn cell_entry_counts(&self) -> Vec<usize> {
+        self.cell_entry_counts()
     }
 }
 

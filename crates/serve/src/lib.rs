@@ -71,7 +71,7 @@ mod tests {
     use ter_stream::StreamSet;
     use ter_text::{Dictionary, KeywordSet};
 
-    use crate::client::Client;
+    use crate::client::{Client, ClientError};
     use crate::server::{ServeOptions, Server};
 
     struct TempDir(PathBuf);
@@ -409,6 +409,61 @@ mod tests {
             assert_eq!(report.replayed, cut, "batch size 1 ⇒ one arrival per batch");
         });
         assert_eq!(served, oracle_matches, "resumed run diverged");
+    }
+
+    /// Admission: a re-sent batch (its ids are live) and a batch whose
+    /// timestamp regresses each get a typed `Error` and leave the engine,
+    /// the WAL and the batch counter untouched. The daemon keeps serving,
+    /// and a restart on its directory recovers exactly the accepted
+    /// batches.
+    #[test]
+    fn rejected_batches_never_reach_engine_or_wal() {
+        let (ctx, streams) = scenario();
+        let params = Params::default();
+        let dir = TempDir::new("admission");
+        let batches = streams.arrival_batches(1);
+        let mut regressing = batches[2].clone();
+        regressing[0].timestamp = 0;
+
+        let mut oracle = TerIdsEngine::new(&ctx, params, PruningMode::Full);
+        for b in &batches[..3] {
+            oracle.step_batch(b);
+        }
+
+        let server = Server::bind("127.0.0.1:0").unwrap();
+        let addr = server.addr().unwrap();
+        std::thread::scope(|scope| {
+            let handle = scope.spawn(|| server.run(&ctx, params, dir.path(), &opts()).unwrap());
+            let mut client = Client::connect_retry(addr, Duration::from_secs(5)).unwrap();
+            for b in &batches[..2] {
+                client.ingest_wait(b).unwrap();
+            }
+            for (bad, why) in [(&batches[0], "already live"), (&regressing, "precedes")] {
+                match client.ingest_wait(bad) {
+                    Err(ClientError::Server(msg)) => assert!(msg.contains(why), "{msg}"),
+                    other => panic!("expected a typed rejection ({why}), got {other:?}"),
+                }
+            }
+            client.ingest_wait(&batches[2]).unwrap();
+            assert_eq!(client.stats().unwrap().next_batch_seq, 3);
+            client.shutdown().unwrap();
+            assert_eq!(handle.join().unwrap().batches, 3);
+        });
+
+        let server = Server::bind("127.0.0.1:0").unwrap();
+        let addr = server.addr().unwrap();
+        std::thread::scope(|scope| {
+            let handle = scope.spawn(|| server.run(&ctx, params, dir.path(), &opts()).unwrap());
+            let mut client = Client::connect_retry(addr, Duration::from_secs(5)).unwrap();
+            let stats = client.stats().unwrap();
+            assert_eq!(stats.next_batch_seq, 3);
+            assert_eq!(stats.stats, oracle.prune_stats());
+            let window = client.window().unwrap();
+            assert_eq!(window.len, oracle.window_len());
+            assert_eq!(window.live_ids, oracle.live_ids());
+            client.shutdown().unwrap();
+            assert_eq!(handle.join().unwrap().resumed_at, 3);
+        });
     }
 
     /// Raw garbage on the socket: the daemon answers with a clean error

@@ -923,10 +923,13 @@ impl StepStage<'_, '_, '_> {
         }
     }
 
-    /// One ingest: step the engine, build the ack, and hand batch + ack
-    /// to the group-commit stage, which releases the ack only after the
-    /// covering fsync. The WAL-before-ack invariant lives there; the
-    /// engine never blocks on the disk for an ingest.
+    /// One ingest: admit the batch, step the engine, build the ack, and
+    /// hand batch + ack to the group-commit stage, which releases the ack
+    /// only after the covering fsync. The WAL-before-ack invariant lives
+    /// there; the engine never blocks on the disk for an ingest. A batch
+    /// the live state refuses ([`ter_ids::LiveState::admit`]: a live or
+    /// repeated id, a regressing timestamp) gets a typed error and touches
+    /// neither the engine, the WAL nor the batch counter.
     fn handle_ingest(
         &mut self,
         batch: Vec<Arrival>,
@@ -936,6 +939,10 @@ impl StepStage<'_, '_, '_> {
         t_recv: u64,
         t_enqueue: u64,
     ) {
+        if let Err(e) = self.pe.engine().admit(&batch) {
+            handle.send(proto, Reply::Error(format!("batch rejected: {e}")));
+            return;
+        }
         if !self.opts.ingest_hold.is_zero() {
             std::thread::sleep(self.opts.ingest_hold);
         }

@@ -3,11 +3,10 @@
 //! pairs at the same arrivals, same live result set, same prune-statistic
 //! totals, and same imputed probabilistic tuples — for every
 //! `ter_datasets` preset × shard count {1, 2, 4} × thread count
-//! {1, 2, 4} × drive mode (lock-step vs overlapped), regardless of batch
-//! size. The overlapped configurations run in a **persistent pool
-//! session** (`with_pool`, the daemon's path), the lock-step ones as
-//! per-batch transient sessions — so both session shapes are enforced
-//! too.
+//! {1, 2, 4} × session shape, regardless of batch size. Each
+//! configuration runs once in a **persistent pool session** (`with_pool`,
+//! the daemon's path) and once as per-batch transient sessions (a plain
+//! `step_batch`), so both session shapes are enforced.
 //!
 //! Exact float equality is intentional: both engines route every pair
 //! through the same `decide_pair` cascade and every cell through the same
@@ -90,11 +89,10 @@ fn trace_sharded(
             step_matches.extend(e.step_batch(chunk).into_iter().map(|o| o.new_matches));
         }
     }
-    if exec.overlap && exec.threads > 1 {
-        assert_eq!(
-            e.stage_metrics().overlapped_arrivals,
-            arrivals.len() as u64,
-            "overlapped drive must actually engage"
+    if exec.threads > 1 {
+        assert!(
+            e.stage_metrics().pooled_batches > 0,
+            "pooled drive must actually engage"
         );
     }
     RunTrace {
@@ -148,18 +146,17 @@ fn assert_parity(p: Preset, scale: f64) {
 
     for shards in [1usize, 2, 4] {
         for threads in [1usize, 2, 4] {
-            for overlap in [false, true] {
+            for pooled_session in [false, true] {
                 // A batch size that is neither 1 nor a divisor of the
                 // stream length, so batch boundaries and a final partial
-                // batch are exercised. The overlapped (pipelined-on)
-                // configurations run in a persistent pool session, the
-                // lock-step ones as transient per-batch sessions.
-                let exec = ExecConfig::new(shards, threads).with_overlap(overlap);
-                let par = trace_sharded(&ctx, &arrivals, params, exec, 17, overlap);
+                // batch are exercised, in a persistent pool session and
+                // as transient per-batch sessions.
+                let exec = ExecConfig::new(shards, threads);
+                let par = trace_sharded(&ctx, &arrivals, params, exec, 17, pooled_session);
                 assert_eq!(
                     par,
                     seq,
-                    "{}: sharded(S={shards}, T={threads}, overlap={overlap}) \
+                    "{}: sharded(S={shards}, T={threads}, pooled_session={pooled_session}) \
                      diverged from sequential",
                     p.name()
                 );
@@ -172,8 +169,8 @@ fn assert_parity(p: Preset, scale: f64) {
     assert_eq!(single, seq, "{}: per-arrival batching diverged", p.name());
 
     // Every refine forced onto the pool (fan-out threshold 0) — the
-    // overlapped drive's worst case for reply interleaving — must still
-    // be bit-identical, in a pooled session.
+    // pooled drive's worst case for reply interleaving — must still be
+    // bit-identical, in a pooled session.
     let forced = ExecConfig {
         refine_fanout_min: 0,
         ..ExecConfig::new(4, 3)
@@ -186,7 +183,7 @@ fn assert_parity(p: Preset, scale: f64) {
 /// hundreds to thousands of entries each and, once the window fills,
 /// every arrival evicts — the size at which the grid's amortized
 /// eviction acts. Sequential ≡ sharded in the daemon's execution shape
-/// (persistent pool session, overlapped drive) at T ∈ {1, 2}.
+/// (persistent pool session) at T ∈ {1, 2}.
 #[test]
 #[cfg_attr(debug_assertions, ignore = "window-2000 oracle; runs in release")]
 fn ebooks_parity_window_2000() {
@@ -303,13 +300,12 @@ fn grid_only_mode_parity() {
     assert_eq!(par.prune_stats(), seq.prune_stats());
 }
 
-/// The pipelining claim, instrumented at preset scale: with every refine
-/// fanned out to the pool, the lock-step drive pays exactly one traverse
-/// barrier per arrival plus one per fanned refine (≈ 2/arrival), the
-/// overlapped drive at most one per arrival plus one prologue per batch
-/// (≈ 1/arrival) — and the results stay bit-identical.
+/// The pooled drive's barrier bound, instrumented at preset scale: with
+/// every refine fanned out to the pool, the driving thread still waits at
+/// most once per arrival plus one prologue per batch, because it collects
+/// arrival `i`'s refine and arrival `i+1`'s traverse in one round.
 #[test]
-fn overlapped_drive_halves_barriers_at_preset_scale() {
+fn pooled_drive_pays_one_barrier_per_arrival_at_preset_scale() {
     let ds = preset(
         Preset::Citations,
         &GenOptions {
@@ -334,54 +330,26 @@ fn overlapped_drive_halves_barriers_at_preset_scale() {
     let n = arrivals.len() as u64;
     let batch = 32usize;
     let batches = arrivals.len().div_ceil(batch) as u64;
-    let base = ExecConfig {
+    let exec = ExecConfig {
         refine_fanout_min: 0, // always fan out (when candidates exist)
-        ..ExecConfig::new(4, 2).with_overlap(false)
+        ..ExecConfig::new(4, 2)
     };
-
-    let mut lockstep = ShardedTerIdsEngine::new(&ctx, params, PruningMode::Full, base);
-    for chunk in arrivals.chunks(batch) {
-        lockstep.step_batch(chunk);
-    }
-    let lm = lockstep.stage_metrics();
-    assert_eq!(
-        lm.er_barriers,
-        n + lm.fanned_refines,
-        "lock-step: one traverse barrier per arrival + one per fanned refine"
-    );
-    assert!(
-        lm.fanned_refines * 2 > n,
-        "most arrivals must fan out a refine for the 2-vs-1 claim to bite \
-         ({} of {n})",
-        lm.fanned_refines
-    );
-
-    let mut overlapped =
-        ShardedTerIdsEngine::new(&ctx, params, PruningMode::Full, base.with_overlap(true));
-    overlapped.with_pool(|pe| {
+    let mut e = ShardedTerIdsEngine::new(&ctx, params, PruningMode::Full, exec);
+    e.with_pool(|pe| {
         for chunk in arrivals.chunks(batch) {
             pe.step_batch(chunk);
         }
     });
-    let om = overlapped.stage_metrics();
+    let m = e.stage_metrics();
     assert!(
-        om.er_barriers <= n + batches,
-        "overlapped: at most one barrier per arrival plus one prologue per batch \
+        m.fanned_refines * 2 > n,
+        "most arrivals must fan out a refine for the bound to bite ({} of {n})",
+        m.fanned_refines
+    );
+    assert!(
+        m.er_barriers <= n + batches,
+        "at most one barrier per arrival plus one prologue per batch \
          (got {} for {n} arrivals in {batches} batches)",
-        om.er_barriers
-    );
-    assert_eq!(om.overlapped_arrivals, n);
-    let ratio = lm.er_barriers as f64 / om.er_barriers as f64;
-    assert!(
-        ratio > 1.6,
-        "barriers per arrival must drop from ~2 to ~1 (lock-step {}, overlapped {}, ratio {ratio:.2})",
-        lm.er_barriers,
-        om.er_barriers
-    );
-
-    assert_eq!(
-        overlapped.export_state(),
-        lockstep.export_state(),
-        "instrumentation must not change results"
+        m.er_barriers
     );
 }
